@@ -23,6 +23,7 @@ from .bits import (
     rank,
     to_dot,
     to_json,
+    validate,
 )
 from .ideals import load_obstruction_file, make_ideal, member
 from .oracle import SizeGuardError, verify_equivalence
@@ -55,7 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a description against direct enumeration")
     p.add_argument("file", help="obstruction file")
     p.add_argument("--max-size", type=int, required=True, help="verification size bound")
-    p.add_argument("--doc", help="verify this JSON document instead of synthesizing")
+    p.add_argument(
+        "--doc",
+        help="verify this JSON document instead of synthesizing; it must be valid"
+        " and rooted at the obstruction file's ideal",
+    )
     p.add_argument("--prune", action="store_true", help="drop dominated bits")
     p.add_argument("--max-block", type=int, default=DEFAULT_MAX_BLOCK)
 
@@ -91,6 +96,14 @@ def _cmd_verify(args) -> int:
     if args.doc:
         with open(args.doc, "r", encoding="utf-8") as fh:
             desc = from_json(fh.read())
+        problems = validate(desc)
+        if problems:
+            raise DocumentFormatError("invalid description: " + "; ".join(problems))
+        key = make_ideal(terms).key
+        if desc.root != key:
+            raise DocumentFormatError(
+                f"document root {desc.root!r} is not the obstruction file's ideal {key!r}"
+            )
     else:
         desc = synthesize(terms, max_block=args.max_block, prune=args.prune)
     report = verify_equivalence(terms, desc, args.max_size)

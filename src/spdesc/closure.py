@@ -38,6 +38,7 @@ from .terms import (
     CHAIN,
     ResourceLimitError,
     SpTerm,
+    _component_runs,
     antichain_sum,
     chain_sum,
 )
@@ -153,6 +154,7 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
         # Recursion is well-founded: every self-labeled half is strictly
         # smaller than t, so no in-progress sentinel is needed.
         result = False
+        distinct, counts = _component_runs(t.children if t.kind == ANTICHAIN else (t,))
         for bit in desc.entries[key].bits:
             if bit.shape == CHAIN_SHAPE:
                 parts = t.children if t.kind == CHAIN else (t,)
@@ -163,15 +165,6 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
                         result = True
                         break
             else:
-                comps = t.children if t.kind == ANTICHAIN else (t,)
-                distinct: list[SpTerm] = []
-                counts: list[int] = []
-                for c in comps:
-                    if distinct and distinct[-1] is c:
-                        counts[-1] += 1
-                    else:
-                        distinct.append(c)
-                        counts.append(1)
                 for pick in product(*(range(c + 1) for c in counts)):
                     left_parts = []
                     right_parts = []

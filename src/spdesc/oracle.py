@@ -39,15 +39,17 @@ _EMBED_CACHE: dict[tuple[SpTerm, SpTerm], bool] = {}
 def brute_embed(p: SpTerm, q: SpTerm) -> bool:
     """Exhaustive search for an order isomorphism from ``p`` onto a
     restriction of ``q``; no use of the term structure beyond
-    materializing both relations."""
-    if p.n_points > MAX_BRUTE_POINTS or q.n_points > MAX_BRUTE_POINTS:
-        raise SizeGuardError(
-            f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points"
-        )
+    materializing both relations.  The two answers that need no search
+    (an empty pattern, a pattern larger than the host) come before the
+    size guard, so they hold at any size."""
     if p is EMPTY:
         return True
     if p.n_points > q.n_points:
         return False
+    if q.n_points > MAX_BRUTE_POINTS:
+        raise SizeGuardError(
+            f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points"
+        )
     key = (p, q)
     got = _EMBED_CACHE.get(key)
     if got is not None:
@@ -167,13 +169,18 @@ _FOREST_CACHE: dict[SpTerm, bool] = {}
 _UPSIDE_CACHE: dict[SpTerm, bool] = {}
 
 
-def _strict_down_sets_are_chains(rel) -> bool:
+def _strict_sets_are_chains(rel, above: bool) -> bool:
+    """True iff, for every point, the points strictly below it (strictly
+    above it when ``above``) are pairwise comparable."""
+    leq = rel.leq
     for i in range(rel.n):
-        down = [j for j in range(rel.n) if j != i and rel.leq[j] >> i & 1]
-        for a in range(len(down)):
-            for b in range(a + 1, len(down)):
-                x, y = down[a], down[b]
-                if not (rel.leq[x] >> y & 1 or rel.leq[y] >> x & 1):
+        if above:
+            related = [j for j in range(rel.n) if j != i and leq[i] >> j & 1]
+        else:
+            related = [j for j in range(rel.n) if j != i and leq[j] >> i & 1]
+        for a, x in enumerate(related):
+            for y in related[a + 1 :]:
+                if not (leq[x] >> y & 1 or leq[y] >> x & 1):
                     return False
     return True
 
@@ -182,7 +189,7 @@ def _is_forest(t: SpTerm) -> bool:
     """No point has two incomparable points below it."""
     got = _FOREST_CACHE.get(t)
     if got is None:
-        got = _FOREST_CACHE[t] = _strict_down_sets_are_chains(to_relation(t))
+        got = _FOREST_CACHE[t] = _strict_sets_are_chains(to_relation(t), above=False)
     return got
 
 
@@ -190,22 +197,7 @@ def _is_upside_down_forest(t: SpTerm) -> bool:
     """No point has two incomparable points above it."""
     got = _UPSIDE_CACHE.get(t)
     if got is None:
-        rel = to_relation(t)
-        for i in range(rel.n):
-            up = [j for j in range(rel.n) if j != i and rel.leq[i] >> j & 1]
-            ok = True
-            for a in range(len(up)):
-                for b in range(a + 1, len(up)):
-                    x, y = up[a], up[b]
-                    if not (rel.leq[x] >> y & 1 or rel.leq[y] >> x & 1):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                _UPSIDE_CACHE[t] = False
-                return False
-        got = _UPSIDE_CACHE[t] = True
+        got = _UPSIDE_CACHE[t] = _strict_sets_are_chains(to_relation(t), above=True)
     return got
 
 

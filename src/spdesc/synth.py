@@ -5,24 +5,26 @@ bit set that generates exactly the orders avoiding every obstruction,
 then recurses on every ideal appearing as a bit label.  The dispatch is
 on the shapes of the obstructions:
 
-* all chain sums: one bit per way of picking, for each forbidden chain
-  sum, one of its chain rules (work below the top layer / above the
-  bottom layer / split across an inner layer), with the picked cell
-  labels intersected; the all-antichains bit is added since stacking is
-  the only way to build a forbidden chain sum.
-* all antichain sums: the forbidden sums' components are indexed
+* chain sums: one bit per way of picking, for each forbidden chain sum,
+  one of its chain rules (work below the top layer / above the bottom
+  layer / split across an inner layer), with the picked cell labels
+  intersected.
+* antichain sums: the forbidden sums' components are indexed
   positionally and each forbidden sum contributes an index block; one
   candidate bit per way of steering every two-sided split of every
   block left or right, the cells labeled with the intersected
-  avoid-ideals of the steered sub-sums; the all-chains bit is added.
-* mixed: the union of both bit sets, with every ideal label intersected
-  with the target ideal (a cell may otherwise readmit a forbidden
-  antichain sum through a chain-only label, and vice versa), and no
-  extra self bits.
+  avoid-ideals of the steered sub-sums.
+* an entry with both shapes gets the union of the two bit sets.  An
+  entry without forbidden chain sums gets the all-chains bit instead of
+  the chain bits, since stacking alone cannot build a forbidden order,
+  and dually one without antichain sums gets the all-antichains bit.
 
-Labels equal to the target ideal are rewritten to the self reference
-``R`` everywhere; every remaining ideal label is then strictly contained
-in its entry's ideal, which is what makes the recursion terminate.
+Every cell label is built against the entry's own ideal: it is the
+intersection of that ideal with the rule's label, so a cell never
+readmits a forbidden order of the other shape.  Labels equal to the
+entry's ideal are rewritten to the self reference ``R``; every
+remaining ideal label is then strictly contained in its entry's ideal,
+which is what makes the recursion terminate.
 
 Candidate bits are normalized before use: a cell labeled by the void
 ideal can never be filled, so the bit is dropped; a cell labeled by the
@@ -39,7 +41,6 @@ from itertools import product
 from .bits import (
     ANTICHAIN_SHAPE,
     Bit,
-    CHAIN_SHAPE,
     IdealRef,
     R,
     R_ANTICHAIN_BIT,
@@ -50,7 +51,7 @@ from .bits import (
     chain_bit,
     make_entry,
 )
-from .ideals import Ideal, contains_ideal, intersect, make_ideal
+from .ideals import Ideal, contains_ideal, make_ideal
 from .terms import ANTICHAIN, CHAIN, SpTerm, antichain_sum, chain_sum
 
 DEFAULT_MAX_BLOCK = 4
@@ -91,17 +92,13 @@ def normalize_bit(bit: Bit):
     return bit
 
 
-def _dedup(bits):
-    return list(dict.fromkeys(bits))
-
-
 def _normalized(bits):
     out = []
     for bit in bits:
         kept = normalize_bit(bit)
         if kept is not None:
             out.append(kept)
-    return _dedup(out)
+    return list(dict.fromkeys(out))
 
 
 # -- Forbidding chain sums ---------------------------------------------------
@@ -127,22 +124,14 @@ def _chain_rules(p: SpTerm) -> list[Bit]:
     return rules
 
 
-def chain_bit_set_single(p: SpTerm) -> list[Bit]:
-    """Normalized bit set forbidding one chain sum."""
-    return _normalized(_chain_rules(p))
-
-
 def _meet_labels(labels, target: Ideal):
-    """Intersection of cell labels, with ``R`` standing for the target
-    ideal; a result equal to the target is rewritten back to ``R``."""
-    ideals = [label for label in labels if label is not R]
-    if not ideals:
-        return R
-    obs = []
-    if len(ideals) < len(labels):
-        obs.extend(target.obstructions)
-    for ideal in ideals:
-        obs.extend(ideal.obstructions)
+    """Intersection of the target ideal with the cell labels (``R``
+    stands for the target); a result equal to the target is rewritten
+    back to ``R``."""
+    obs = list(target.obstructions)
+    for label in labels:
+        if label is not R:
+            obs.extend(label.obstructions)
     met = make_ideal(obs)
     return R if met is target else met
 
@@ -150,7 +139,8 @@ def _meet_labels(labels, target: Ideal):
 def chain_bit_set_multi(ps, target: Ideal | None = None) -> list[Bit]:
     """Normalized bit set forbidding several chain sums at once: one
     candidate per choice of a raw rule for each forbidden sum, the
-    bottom labels intersected and the top labels intersected."""
+    bottom labels intersected and the top labels intersected, each with
+    the target ideal as a factor (by default, the ideal of the sums)."""
     ps = list(ps)
     if not ps:
         raise ValueError("need at least one chain sum")
@@ -235,8 +225,9 @@ def antichain_bit_set(
     max_block: int = DEFAULT_MAX_BLOCK,
 ) -> list[Bit]:
     """Normalized bit set forbidding the antichain sums described by the
-    block system.  Every cell label carries the target ideal as a
-    factor, so labels are never larger than the target."""
+    block system.  Every cell label carries the target ideal (by
+    default, the ideal of the sums) as a factor, so labels are never
+    larger than the target."""
     comps = system.components
     if any(c.kind == ANTICHAIN for c in comps):
         raise ValueError("components must not be antichain sums")
@@ -263,53 +254,6 @@ def antichain_bit_set(
                 R if right_ideal is target else right_ideal,
             )
         )
-    return _normalized(out)
-
-
-# -- Mixed case ---------------------------------------------------------------
-
-
-def _retarget(label, root_target: Ideal, intersect_labels: bool):
-    if label is R:
-        return R
-    refined = intersect(label, root_target) if intersect_labels else label
-    return R if refined is root_target else refined
-
-
-def mixed_bit_set(
-    chain_sums,
-    antichain_sums,
-    *,
-    max_block: int = DEFAULT_MAX_BLOCK,
-    intersect_labels: bool = True,
-) -> list[Bit]:
-    """Bit set forbidding chain sums and antichain sums together: the
-    union of the two pure bit sets with every ideal label intersected
-    with the full target ideal, and no extra self bits.
-
-    ``intersect_labels=False`` disables the intersection; it exists only
-    so tests can demonstrate that the unintersected labels readmit
-    forbidden orders.
-    """
-    chain_sums = list(chain_sums)
-    antichain_sums = list(antichain_sums)
-    if not chain_sums or not antichain_sums:
-        raise ValueError("need both chain sums and antichain sums")
-    root_target = make_ideal(chain_sums + antichain_sums)
-    raw = chain_bit_set_multi(chain_sums, make_ideal(chain_sums))
-    raw += antichain_bit_set(
-        component_blocks(antichain_sums),
-        make_ideal(antichain_sums),
-        max_block=max_block,
-    )
-    out = []
-    for bit in raw:
-        first = _retarget(bit.first, root_target, intersect_labels)
-        second = _retarget(bit.second, root_target, intersect_labels)
-        if bit.shape == CHAIN_SHAPE:
-            out.append(chain_bit(first, second))
-        else:
-            out.append(antichain_bit(first, second))
     return _normalized(out)
 
 
@@ -357,19 +301,15 @@ def synthesize(
     *,
     max_block: int = DEFAULT_MAX_BLOCK,
     prune: bool = False,
-    _intersect_mixed_labels: bool = True,
 ) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
     The root entry gets the dispatch's bit set; every ideal label is
     then synthesized recursively (memoized by ideal key).  Labels always
     shrink strictly, so the recursion bottoms out; a violation raises
-    ``StrictDecreaseError`` since it would mean the construction is
-    wrong.  ``prune`` enables the optional dominance pruning.
-
-    ``_intersect_mixed_labels`` is a test-only switch: disabling it
-    reproduces the naive mixed-case labels (and skips the strict
-    decrease check, which those labels genuinely violate).
+    ``StrictDecreaseError`` before recursing, since it would mean the
+    construction is wrong.  ``prune`` enables the optional dominance
+    pruning.
     """
     ideal = make_ideal(forbidden)
     if ideal.is_improper:
@@ -383,33 +323,18 @@ def synthesize(
             "trivial ideal: forbidding the one point order leaves only the empty order"
         )
     entries: dict = {}
-    in_progress: set[str] = set()
 
     def build(target: Ideal) -> None:
         if target.key in entries:
             return
-        if target.key in in_progress:
-            raise StrictDecreaseError(f"recursion cycle at ideal {target.key!r}")
-        in_progress.add(target.key)
-        obs = target.obstructions
         assert target.is_nontrivial_proper, target
-        chains = [t for t in obs if t.kind == CHAIN]
-        ants = [t for t in obs if t.kind == ANTICHAIN]
-        if not ants:
-            bits = chain_bit_set_multi(chains, target) + [R_ANTICHAIN_BIT]
-        elif not chains:
-            bits = (
-                antichain_bit_set(component_blocks(ants), target, max_block=max_block)
-                + [R_CHAIN_BIT]
-            )
+        chains = [t for t in target.obstructions if t.kind == CHAIN]
+        ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
+        bits = chain_bit_set_multi(chains, target) if chains else [R_CHAIN_BIT]
+        if ants:
+            bits += antichain_bit_set(component_blocks(ants), target, max_block=max_block)
         else:
-            bits = mixed_bit_set(
-                chains,
-                ants,
-                max_block=max_block,
-                intersect_labels=_intersect_mixed_labels,
-            )
-        bits = _dedup(bits)
+            bits.append(R_ANTICHAIN_BIT)
         if prune:
             bits = prune_dominated(bits, target)
         bits.sort(key=bit_sort_key)
@@ -417,20 +342,16 @@ def synthesize(
         for bit in bits:
             labels = []
             for label in (bit.first, bit.second):
-                if label is R:
-                    labels.append(R)
-                    continue
-                if _intersect_mixed_labels and (
-                    label is target or not contains_ideal(target, label)
-                ):
-                    raise StrictDecreaseError(
-                        f"label {label.key!r} is not strictly contained in {target.key!r}"
-                    )
-                build(label)
-                labels.append(IdealRef(label.key))
+                if label is not R:
+                    if label is target or not contains_ideal(target, label):
+                        raise StrictDecreaseError(
+                            f"label {label.key!r} is not strictly contained in {target.key!r}"
+                        )
+                    build(label)
+                    label = IdealRef(label.key)
+                labels.append(label)
             registered.append(Bit(bit.shape, labels[0], labels[1]))
         entries[target.key] = make_entry(target, registered)
-        in_progress.discard(target.key)
 
     build(ideal)
     return StructuralDescription(ideal.key, entries)

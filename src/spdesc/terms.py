@@ -33,6 +33,12 @@ ANTICHAIN = 3
 
 DEFAULT_TERM_LIMIT = 200_000
 
+# Deepest nesting of sums that ``parse_term`` accepts.  Parsing, printing
+# and the suborder test recurse once or a few times per level, so a cap
+# well inside the interpreter's recursion limit turns an over-deep input
+# into a parse error instead of a crash.
+MAX_TERM_DEPTH = 100
+
 
 class ResourceLimitError(RuntimeError):
     """An enumeration or closure grew past its configured size cap."""
@@ -175,10 +181,6 @@ def compare(p: SpTerm, q: SpTerm) -> int:
     return -1 if p.sort_key < q.sort_key else 1
 
 
-def term_sort_key(t: SpTerm):
-    return t.sort_key
-
-
 def print_term(t: SpTerm) -> str:
     """Canonical rendering in the term grammar."""
     return t.text
@@ -190,7 +192,7 @@ def _skip_ws(s: str, i: int) -> int:
     return i
 
 
-def _parse(s: str, i: int):
+def _parse(s: str, i: int, depth: int = 0):
     if i >= len(s):
         raise TermParseError("unexpected end of input", i)
     ch = s[i]
@@ -199,12 +201,14 @@ def _parse(s: str, i: int):
     if ch == "*":
         return "*", i + 1
     if ch in "CA":
+        if depth >= MAX_TERM_DEPTH:
+            raise TermParseError(f"sums nested more than {MAX_TERM_DEPTH} deep", i)
         j = _skip_ws(s, i + 1)
         if j >= len(s) or s[j] != "(":
             raise TermParseError("expected '('", j)
         children = []
         j = _skip_ws(s, j + 1)
-        child, j = _parse(s, j)
+        child, j = _parse(s, j, depth + 1)
         children.append(child)
         j = _skip_ws(s, j)
         if j < len(s) and s[j] == ")":
@@ -214,7 +218,7 @@ def _parse(s: str, i: int):
                 raise TermParseError("expected ',' or ')'", j)
             if s[j] == ",":
                 j = _skip_ws(s, j + 1)
-                child, j = _parse(s, j)
+                child, j = _parse(s, j, depth + 1)
                 children.append(child)
                 j = _skip_ws(s, j)
             elif s[j] == ")":
@@ -228,8 +232,9 @@ def parse_term(text: str) -> SpTerm:
     """Parse the term grammar ``0 | * | C(t,t,...) | A(t,t,...)``.
 
     Whitespace between tokens is ignored.  Sums with fewer than two
-    children are rejected here rather than silently collapsed; the
-    returned term is canonical.
+    children, and sums nested more than ``MAX_TERM_DEPTH`` deep, are
+    rejected here rather than silently collapsed; the returned term is
+    canonical.
     """
     raw, end = _parse(text, _skip_ws(text, 0))
     end = _skip_ws(text, end)
@@ -334,16 +339,22 @@ def _chain_in_chain(pparts, qparts) -> bool:
     return f(0, 0)
 
 
-def _antichain_in_antichain(pcomps, qcomps) -> bool:
-    # Components are sorted, so identical ones sit in runs; work with counts.
-    distinct = []
-    counts = []
-    for c in pcomps:
+def _component_runs(comps) -> tuple[list[SpTerm], list[int]]:
+    """Sorted components sit in runs of identical terms: the distinct
+    components in order and how often each occurs."""
+    distinct: list[SpTerm] = []
+    counts: list[int] = []
+    for c in comps:
         if distinct and distinct[-1] is c:
             counts[-1] += 1
         else:
             distinct.append(c)
             counts.append(1)
+    return distinct, counts
+
+
+def _antichain_in_antichain(pcomps, qcomps) -> bool:
+    distinct, counts = _component_runs(pcomps)
     m = len(qcomps)
     qtail = [0] * (m + 1)
     for j in range(m - 1, -1, -1):

@@ -19,11 +19,15 @@ import time
 import pytest
 
 from spdesc import (
+    IdealRef,
+    StructuralDescription,
     brute_embed,
+    chain_bit,
     diamond_free_shape,
     enumerate_sp,
     enumerate_sp_by_closure,
     is_suborder,
+    make_entry,
     make_ideal,
     member,
     parse_term,
@@ -167,9 +171,12 @@ def test_criterion_6_enumeration_self_consistency():
 def test_criterion_7_mixed_case_regression():
     forbidden = [parse_term("C(*,*,*)"), parse_term("A(*,*)")]
     fixed = verify_equivalence(forbidden, synthesize(forbidden), 9)
-    broken = verify_equivalence(
-        forbidden, synthesize(forbidden, _intersect_mixed_labels=False), 9
-    )
+    # The naive table leaves the chain rule's labels unintersected with
+    # the root ideal: one chain bit with two C(*,*)-free cells.
+    root = make_ideal(forbidden)
+    entries = dict(synthesize([parse_term("C(*,*)")]).entries)
+    entries[root.key] = make_entry(root, [chain_bit(IdealRef("C(*,*)"), IdealRef("C(*,*)"))])
+    broken = verify_equivalence(forbidden, StructuralDescription(root.key, entries), 9)
     ok = fixed.equal and not broken.equal and "A(*,*)" in broken.extra
     _announce(
         7,

@@ -2,10 +2,12 @@
 
 Core claims:
     - describe emits a deterministic JSON document (and optional DOT)
-    - verify exits 0 on equality and 1 on mismatch, with witness lines
+    - verify exits 0 on equality and 1 on mismatch, with witness lines;
+      an invalid or foreign --doc exits 2
     - member prints true/false; enumerate lists canonical terms
     - show pretty-prints entries with ranks
-    - degenerate ideals and bad input exit 2 with a diagnostic on stderr
+    - degenerate ideals and bad input (over-deep terms included) exit 2
+      with a diagnostic on stderr
 """
 
 import json
@@ -96,6 +98,34 @@ class TestVerify:
         assert any(line.startswith("missing ") for line in lines)
         assert "MISMATCH" in lines[-1]
 
+    def test_invalid_doc_exits_2(self, obstruction_file, tmp_path, capsys):
+        path = obstruction_file("f.txt", "C(*,*)\n")
+        doc = tmp_path / "cyclic.json"
+        doc.write_text(
+            '{"root": "C(*,*)", "entries": [{"ideal": ["C(*,*)"],'
+            ' "bits": [{"shape": "antichain", "labels": ["C(*,*)", "R"]}]}]}'
+        )
+        assert main(["verify", path, "--max-size", "6", "--doc", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid description" in captured.err
+        assert "not strictly contained" in captured.err
+
+    def test_foreign_doc_exits_2(self, obstruction_file, tmp_path, capsys):
+        path = obstruction_file("f.txt", "C(*,*)\n")
+        other = obstruction_file("g.txt", "A(*,*)\n")
+        doc = tmp_path / "doc.json"
+        assert main(["describe", other, "--out", str(doc)]) == 0
+        assert main(["verify", path, "--max-size", "6", "--doc", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "is not the obstruction file's ideal" in captured.err
+
+    def test_obstruction_above_the_oracle_guard(self, obstruction_file, capsys):
+        path = obstruction_file("chain10.txt", "C(" + ",".join("*" * 10) + ")\n")
+        assert main(["verify", path, "--max-size", "6"]) == 0
+        assert capsys.readouterr().out.strip().endswith("equal up to size 6")
+
     def test_block_cap_exits_2(self, obstruction_file, capsys):
         path = obstruction_file("f.txt", "A(*,*,*,*,*)\n")
         assert main(["verify", path, "--max-size", "5"]) == 2
@@ -118,6 +148,14 @@ class TestMember:
         path = obstruction_file("a2.txt", "A(*,*)\n")
         assert main(["member", path, "C(*"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_over_deep_term_exits_2(self, obstruction_file, capsys):
+        path = obstruction_file("a2.txt", "A(*,*)\n")
+        term = "*"
+        for level in range(500):
+            term = ("C" if level % 2 else "A") + "(*," + term + ")"
+        assert main(["member", path, term]) == 2
+        assert "nested more than" in capsys.readouterr().err
 
 
 class TestEnumerate:

@@ -53,6 +53,11 @@ class TestBruteEmbed:
         with pytest.raises(SizeGuardError):
             brute_embed(big, big)
 
+    def test_oversized_pattern_is_answered_before_the_guard(self):
+        chain10 = T("C(" + ",".join("*" * 10) + ")")
+        assert brute_embed(chain10, T("A(*,*)")) is False
+        assert brute_embed(EMPTY, chain10) is True
+
     def test_agrees_with_structural_test(self):
         terms = enumerate_sp(5)
         for p in terms:
@@ -69,6 +74,10 @@ class TestAvoiders:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             avoiders_upto([T("C(*,*)")], 10)
+
+    def test_obstruction_above_the_guard_excludes_nothing_below_it(self):
+        chain10 = T("C(" + ",".join("*" * 10) + ")")
+        assert avoiders_upto([chain10], 6) == enumerate_sp(6)
 
     def test_suborder_closed(self):
         for texts in (["C(*,*,*)"], ["A(*,*,*)"], [DIAMOND], ["C(*,*,*)", "A(*,*,*)"]):

@@ -1,19 +1,22 @@
 """Synthesis engine tests.
 
 Core claims:
-    - the single-chain rules and their normalization match the worked
-      examples (two-chain vanishes, three-chain keeps the middle rule)
+    - the chain rules for one forbidden chain sum and their
+      normalization match the worked examples (two-chain vanishes,
+      three-chain keeps the middle rule)
     - the tuple case intersects picked labels, rewrites the target to R,
-      and collapses to the single case for one forbidden sum
+      and for one forbidden sum emits exactly its normalized rules
     - the component-block system indexes positionally; the staged
       split-steering enumeration emits exactly the naive candidate set
-    - the mixed case intersects labels with the full target; without the
-      intersection the documented counterexample readmits A(*,*)
+    - with both shapes forbidden, every label is intersected with the
+      entry's ideal; a hand-built table without that intersection
+      readmits A(*,*) in the documented counterexample
     - synthesize dispatches by obstruction shape, recurses on labels,
       keeps labels strictly decreasing, terminates, and is deterministic
     - degenerate inputs and oversized blocks fail with clear errors
 """
 
+import hashlib
 import itertools
 
 import pytest
@@ -21,20 +24,22 @@ import pytest
 from spdesc import (
     BlockCapError,
     DegenerateIdealError,
+    IdealRef,
     R,
     R_ANTICHAIN_BIT,
     R_CHAIN_BIT,
+    StructuralDescription,
     antichain_bit,
     antichain_bit_set,
     antichain_sum,
     chain_bit,
     chain_bit_set_multi,
-    chain_bit_set_single,
+    chain_sum,
     component_blocks,
     contains_ideal,
     generate_upto,
+    make_entry,
     make_ideal,
-    mixed_bit_set,
     normalize_bit,
     parse_term,
     prune_dominated,
@@ -62,26 +67,45 @@ def bit_keys(bit):
 
 
 class TestChainBitSetSingle:
+    """The bit set of one forbidden chain sum, ``chain_bit_set_multi([p])``."""
+
     def test_two_chain_normalizes_away(self):
-        assert chain_bit_set_single(T("C(*,*)")) == []
+        assert chain_bit_set_multi([T("C(*,*)")]) == []
 
     def test_three_chain_keeps_middle_rule(self):
-        bits = chain_bit_set_single(T("C(*,*,*)"))
+        bits = chain_bit_set_multi([T("C(*,*,*)")])
         assert [bit_keys(b) for b in bits] == [("chain", "C(*,*)", "C(*,*)")]
 
     def test_diamond_middle_rule(self):
-        bits = chain_bit_set_single(T("C(*,A(*,*),*)"))
+        bits = chain_bit_set_multi([T("C(*,A(*,*),*)")])
         assert ("chain", "C(*,A(*,*))", "C(A(*,*),*)") in [bit_keys(b) for b in bits]
 
     def test_rejects_non_chain(self):
         with pytest.raises(ValueError):
-            chain_bit_set_single(T("A(*,*)"))
+            chain_bit_set_multi([T("A(*,*)")])
+
+
+def naive_single_chain_bits(p):
+    """Reference rules for one forbidden chain sum: build below an order
+    avoiding the top layer, above one avoiding the bottom layer, or
+    across inner layer i, each half avoiding its part of the layers;
+    then normalize, dropping duplicates in order."""
+    parts = p.children
+    rules = [chain_bit(R, make_ideal([parts[-1]])), chain_bit(make_ideal([parts[0]]), R)]
+    for i in range(1, len(parts) - 1):
+        rules.append(
+            chain_bit(
+                make_ideal([chain_sum(parts[: i + 1])]), make_ideal([chain_sum(parts[i:])])
+            )
+        )
+    kept = [normalize_bit(b) for b in rules]
+    return list(dict.fromkeys(b for b in kept if b is not None))
 
 
 class TestChainBitSetMulti:
     def test_k1_equals_single(self):
         for s in ("C(*,*)", "C(*,*,*)", "C(*,A(*,*),*)", "C(A(*,*),*,A(*,*,*))"):
-            assert chain_bit_set_multi([T(s)]) == chain_bit_set_single(T(s))
+            assert chain_bit_set_multi([T(s)]) == naive_single_chain_bits(T(s))
 
     def test_worked_example(self):
         bits = chain_bit_set_multi([T("C(*,*,*)"), T("C(A(*,*),A(*,*))")])
@@ -202,7 +226,20 @@ class TestNormalizeBit:
         assert normalize_bit(R_CHAIN_BIT) is R_CHAIN_BIT
 
 
+def naive_mixed_table():
+    """The table for C(*,*,*)|A(*,*) with the chain rule's labels left
+    unintersected with the root ideal: one chain bit with two C(*,*)
+    cells, which readmit A(*,*) through the C(*,*)-free orders."""
+    root = I("C(*,*,*)", "A(*,*)")
+    entries = dict(synthesize([T("C(*,*)")]).entries)
+    entries[root.key] = make_entry(root, [chain_bit(IdealRef("C(*,*)"), IdealRef("C(*,*)"))])
+    return StructuralDescription(root.key, entries)
+
+
 class TestMixedBitSet:
+    """Both shapes forbidden: the union of the chain and antichain bit
+    sets, every label intersected with the entry's ideal."""
+
     def test_label_intersection_example(self):
         from spdesc import intersect
 
@@ -211,17 +248,15 @@ class TestMixedBitSet:
         )
 
     def test_intersected_case_generates_exactly_the_target(self):
-        bits = mixed_bit_set([T("C(*,*,*)")], [T("A(*,*)")])
-        assert [bit_keys(b) for b in bits] == [("chain", "A(*,*)|C(*,*)", "A(*,*)|C(*,*)")]
         desc = synthesize([T("C(*,*,*)"), T("A(*,*)")])
+        bits = desc.entries[desc.root].bits
+        assert [bit_keys(b) for b in bits] == [("chain", "A(*,*)|C(*,*)", "A(*,*)|C(*,*)")]
         got = generate_upto(desc, desc.root, 5).terms
         assert sorted(t.text for t in got) == ["*", "0", "C(*,*)"]
 
     def test_unintersected_labels_readmit_the_two_antichain(self):
-        desc = synthesize(
-            [T("C(*,*,*)"), T("A(*,*)")], _intersect_mixed_labels=False
-        )
-        report = verify_equivalence([T("C(*,*,*)"), T("A(*,*)")], desc, 5)
+        forbidden = [T("C(*,*,*)"), T("A(*,*)")]
+        report = verify_equivalence(forbidden, naive_mixed_table(), 5)
         assert not report.equal
         assert "A(*,*)" in report.extra
 
@@ -230,10 +265,6 @@ class TestMixedBitSet:
         root_bits = desc.entries[desc.root].bits
         assert R_CHAIN_BIT not in root_bits
         assert R_ANTICHAIN_BIT not in root_bits
-
-    def test_requires_both_shapes(self):
-        with pytest.raises(ValueError):
-            mixed_bit_set([], [T("A(*,*)")])
 
 
 class TestSynthesize:
@@ -317,3 +348,46 @@ class TestPruning:
         narrow = chain_bit(I("C(*,*)", "A(*,*)"), R)
         kept = prune_dominated([wide, narrow], target)
         assert kept == [wide]
+
+
+# sha256 of ``to_json(synthesize(...))``, pinned so that any change to the
+# emitted tables shows up: the ten catalog sets, the width-4 antichain
+# sum, and three sets mixing chain sums with antichain sums.
+GOLDEN = {
+    ("C(*,*)",): "02904d70fe7450ed6cc3699609f1d912874d0b74a10fcd28228c30ae52f76487",
+    ("A(*,*)",): "274dec66a070fcd77fc2f1bc2c763b8e9f8da5df8d881d0c771269b0346bf089",
+    ("C(*,*,*)",): "c711999d5b191820c60b911660d0d8ef3963d3653d650efaf1cd8e2af4be8881",
+    ("A(*,*,*)",): "f01a13bcadfb61ffd71fd5b8ed83c579d05a6501bb0cbc25302c905b678233ae",
+    ("C(*,A(*,*))",): "914c6643cbf4bd42dc391002c583a1d2642101478b8b140b625e09c35d9fe8f2",
+    ("C(*,*,*)", "C(A(*,*),A(*,*))"): (
+        "b277ebacc13bfb47e7618e4255e65cf6ddc121f47ab201ac7cd5ac1073f46cb7"
+    ),
+    ("A(*,*,*)", "A(*,C(*,*))"): (
+        "c92cd232c1d5ed839fa5873cd67fbf4e5ab51f86b83f0c0be16b7c343e34548f"
+    ),
+    ("C(*,*,*)", "A(*,*,*)"): (
+        "337f3571e15e59504d1ae68cf07a4ff7b2a5bd7bace282f3ec7452ad6e75208d"
+    ),
+    ("C(*,A(*,*),*)",): "a999b2ef38b94135f64faf94c0f34e01288ad308463dccc2492f617754ed028e",
+    ("C(*,A(*,*),*)", "A(*,*,*,*)"): (
+        "e4be2837f9af6b9c7347aa31b637fa9cc33b93b8291c83fb32f119ed8d906967"
+    ),
+    ("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))",): (
+        "5e40f0758cbf126437ef965051473e39b19423e6ea988d2c41b66fda8d9b2589"
+    ),
+    ("A(*,*,*)", "A(*,C(*,*))", "C(*,*,*,*)"): (
+        "65cd4783a5db0f99b1a848d7773a363210495b7cbf0877bfa62a28f7d999d4c9"
+    ),
+    ("A(C(*,*),C(*,*,*),C(*,A(*,*)))", "C(A(*,*),*,*)"): (
+        "e8ba7d066b03cd83e7a14a6b9663df4af74fb2d61d864415534666847704e385"
+    ),
+    ("A(*,C(*,A(*,*)))", "C(*,A(*,*),*)", "C(*,*,*,*)"): (
+        "e8b96f425bf02761e81669bb6f621295cb845cd429f491d5034de2e8ba5919f1"
+    ),
+}
+
+
+@pytest.mark.parametrize("texts", sorted(GOLDEN), ids="+".join)
+def test_golden_describe_output(texts):
+    text = to_json(synthesize([T(s) for s in texts]))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[texts]

@@ -34,7 +34,7 @@ from spdesc import (
     size,
     to_relation,
 )
-from spdesc.terms import ANTICHAIN, CHAIN
+from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH
 
 
 def T(s):
@@ -97,6 +97,18 @@ class TestParsePrint:
         assert "two children" in str(exc.value)
         with pytest.raises(TermParseError):
             T("A(*)")
+
+    def test_nesting_cap(self):
+        def alternating(depth):
+            text = "*"
+            for level in range(depth):
+                text = ("C" if level % 2 else "A") + "(*," + text + ")"
+            return text
+
+        assert T(alternating(MAX_TERM_DEPTH)).n_points == MAX_TERM_DEPTH + 1
+        with pytest.raises(TermParseError) as exc:
+            T(alternating(MAX_TERM_DEPTH + 1))
+        assert "nested more than" in str(exc.value)
 
     def test_syntax_errors_carry_positions(self):
         with pytest.raises(TermParseError) as exc:
