@@ -45,7 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="obstruction file, one term per line, '#' comments")
     p.add_argument("--out", help="write the JSON document here instead of stdout")
     p.add_argument("--dot", help="also write a Graphviz view of the entry graph")
-    p.add_argument("--prune", action="store_true", help="drop dominated bits")
     p.add_argument(
         "--max-block",
         type=int,
@@ -61,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify this JSON document instead of synthesizing; it must be valid"
         " and rooted at the obstruction file's ideal",
     )
-    p.add_argument("--prune", action="store_true", help="drop dominated bits")
     p.add_argument("--max-block", type=int, default=DEFAULT_MAX_BLOCK)
 
     p = sub.add_parser("member", help="decide membership of a term in the ideal")
@@ -78,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_describe(args) -> int:
     terms = load_obstruction_file(args.file)
-    desc = synthesize(terms, max_block=args.max_block, prune=args.prune)
+    desc = synthesize(terms, max_block=args.max_block)
     text = to_json(desc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -105,7 +103,7 @@ def _cmd_verify(args) -> int:
                 f"document root {desc.root!r} is not the obstruction file's ideal {key!r}"
             )
     else:
-        desc = synthesize(terms, max_block=args.max_block, prune=args.prune)
+        desc = synthesize(terms, max_block=args.max_block)
     report = verify_equivalence(terms, desc, args.max_size)
     for witness in report.missing:
         print(f"missing {witness}")

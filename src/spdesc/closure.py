@@ -131,7 +131,7 @@ def generate_upto(
 
 
 def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
-    """Decide ``term in generate_upto(desc, key, size(term)).terms``
+    """Decide ``term in generate_upto(desc, key, term.n_points).terms``
     without materializing the generated set."""
     if key not in desc.entries:
         raise UnknownIdealKeyError(key)

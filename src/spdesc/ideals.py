@@ -92,11 +92,6 @@ def member(ideal: Ideal, term: SpTerm) -> bool:
     return all(not is_suborder(ob, term) for ob in ideal.obstructions)
 
 
-def intersect(a: Ideal, b: Ideal) -> Ideal:
-    """Meet of two ideals; membership is the conjunction."""
-    return make_ideal(a.obstructions + b.obstructions)
-
-
 def contains_ideal(outer: Ideal, inner: Ideal) -> bool:
     """True iff ``inner`` is a subset of ``outer``: every obstruction of
     the outer ideal already contains some obstruction of the inner one."""
@@ -104,11 +99,6 @@ def contains_ideal(outer: Ideal, inner: Ideal) -> bool:
         any(is_suborder(ob_in, ob_out) for ob_in in inner.obstructions)
         for ob_out in outer.obstructions
     )
-
-
-def ideal_key(ideal: Ideal) -> str:
-    """Canonical key string, injective on ideals."""
-    return ideal.key
 
 
 _MEMBERS_CACHE: dict[tuple[Ideal, int], tuple[SpTerm, ...]] = {}

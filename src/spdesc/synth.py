@@ -11,9 +11,9 @@ on the shapes of the obstructions:
   intersected.
 * antichain sums: the forbidden sums' components are indexed
   positionally and each forbidden sum contributes an index block; one
-  candidate bit per way of steering every two-sided split of every
-  block left or right, the cells labeled with the intersected
-  avoid-ideals of the steered sub-sums.
+  bit per way of steering every two-sided split of every block left or
+  right, the cells labeled with the intersected avoid-ideals of the
+  steered sub-sums.
 * an entry with both shapes gets the union of the two bit sets.  An
   entry without forbidden chain sums gets the all-chains bit instead of
   the chain bits, since stacking alone cannot build a forbidden order,
@@ -26,6 +26,19 @@ entry's ideal are rewritten to the self reference ``R``; every
 remaining ideal label is then strictly contained in its entry's ideal,
 which is what makes the recursion terminate.
 
+Both products run through one pruned fold.  A partial outcome is a pair
+of cell ideals, starting as the entry's ideal twice; each choice (the
+rules of one forbidden chain sum, or the steering outcomes of one block)
+meets the two cells with the terms of the picked option, and only the
+pairs that no other pair contains pointwise are carried on.  Labels are
+monotone, ``ideal(T+L+X) = ideal(T+L) & ideal(X)``, so a dominated
+partial outcome stays dominated and pruning early loses no maximal bit.
+Antichain bits get one more, crosswise pass, since their two cells are
+unordered.  So no bit of an entry has its cells inside another bit's:
+such a bit would build nothing new.  Picking the maximal outcomes is a
+monotone dualization problem (Fredman and Khachiyan, J. Algorithms 21,
+1996).
+
 Candidate bits are normalized before use: a cell labeled by the void
 ideal can never be filled, so the bit is dropped; a cell labeled by the
 empty-only ideal can only be filled with the empty order, so the point
@@ -36,10 +49,8 @@ target and is dropped.  Normalization never changes the generated ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bits import (
-    ANTICHAIN_SHAPE,
     Bit,
     IdealRef,
     R,
@@ -101,58 +112,94 @@ def _normalized(bits):
     return list(dict.fromkeys(out))
 
 
+# -- The pruned product -------------------------------------------------------
+
+
+def _maximal(pairs, dominates) -> list:
+    """The pairs no other pair dominates, keeping the first of two pairs
+    that dominate each other."""
+    kept: list = []
+    for pair in pairs:
+        if not any(dominates(k, pair) for k in kept):
+            kept = [k for k in kept if not dominates(pair, k)]
+            kept.append(pair)
+    return kept
+
+
+def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Ideal, Ideal]]:
+    """Dominance-maximal cell pairs of picking one option from every choice.
+
+    A pair starts as ``(target, target)``; an option ``(left terms,
+    right terms)`` forbids those terms in the two cells.  A pair
+    contained pointwise in another stays so whatever is picked later,
+    since ``ideal(T+L+X) = ideal(T+L) & ideal(X)``, so only the maximal
+    pairs are carried from choice to choice.  ``crosswise`` also drops a
+    pair contained in another one read the other way round, as for the
+    two unordered cells of an antichain bit."""
+    meets: dict = {}
+    contains: dict = {}
+
+    def meet(ideal, terms):
+        got = meets.get((ideal, terms))
+        if got is None:
+            got = meets[ideal, terms] = make_ideal(ideal.obstructions + tuple(terms))
+        return got
+
+    def within(inner, outer):
+        if inner is outer:
+            return True
+        got = contains.get((inner, outer))
+        if got is None:
+            got = contains[inner, outer] = contains_ideal(outer, inner)
+        return got
+
+    def straight(big, small):
+        return within(small[0], big[0]) and within(small[1], big[1])
+
+    pairs = [(target, target)]
+    for options in choices:
+        stepped = dict.fromkeys(
+            (meet(left, lt), meet(right, rt)) for left, right in pairs for lt, rt in options
+        )
+        pairs = _maximal(stepped, straight)
+    if crosswise:
+        pairs = _maximal(
+            pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
+        )
+    return pairs
+
+
+def _label(ideal: Ideal, target: Ideal):
+    return R if ideal is target else ideal
+
+
 # -- Forbidding chain sums ---------------------------------------------------
 
 
-def _chain_rules(p: SpTerm) -> list[Bit]:
-    """The raw two-point rules for one forbidden chain sum, before
-    normalization: build below an order avoiding the top layer, build
-    above an order avoiding the bottom layer, or split across an inner
-    layer i, the halves avoiding the layers up to i and from i up."""
+def _chain_rules(p: SpTerm) -> list[tuple[tuple[SpTerm, ...], tuple[SpTerm, ...]]]:
+    """The rules for one forbidden chain sum, as the terms each cell
+    must avoid: build below an order avoiding the top layer, build above
+    an order avoiding the bottom layer, or split across an inner layer
+    i, the halves avoiding the layers up to i and from i up."""
     if p.kind != CHAIN:
         raise ValueError(f"not a chain sum: {p!r}")
     parts = p.children
-    n = len(parts)
-    rules = [
-        chain_bit(R, make_ideal([parts[-1]])),
-        chain_bit(make_ideal([parts[0]]), R),
-    ]
-    for i in range(1, n - 1):
-        bottom = make_ideal([chain_sum(parts[: i + 1])])
-        top = make_ideal([chain_sum(parts[i:])])
-        rules.append(chain_bit(bottom, top))
+    rules = [((), (parts[-1],)), ((parts[0],), ())]
+    for i in range(1, len(parts) - 1):
+        rules.append(((chain_sum(parts[: i + 1]),), (chain_sum(parts[i:]),)))
     return rules
 
 
-def _meet_labels(labels, target: Ideal):
-    """Intersection of the target ideal with the cell labels (``R``
-    stands for the target); a result equal to the target is rewritten
-    back to ``R``."""
-    obs = list(target.obstructions)
-    for label in labels:
-        if label is not R:
-            obs.extend(label.obstructions)
-    met = make_ideal(obs)
-    return R if met is target else met
-
-
-def chain_bit_set_multi(ps, target: Ideal | None = None) -> list[Bit]:
-    """Normalized bit set forbidding several chain sums at once: one
-    candidate per choice of a raw rule for each forbidden sum, the
-    bottom labels intersected and the top labels intersected, each with
-    the target ideal as a factor (by default, the ideal of the sums)."""
+def chain_bit_set_multi(ps, target: Ideal) -> list[Bit]:
+    """Normalized bit set forbidding several chain sums at once: the
+    dominance-maximal ways of picking one rule for each forbidden sum,
+    the picked bottom labels intersected with the target ideal and
+    likewise the top labels."""
     ps = list(ps)
     if not ps:
         raise ValueError("need at least one chain sum")
-    if target is None:
-        target = make_ideal(ps)
-    rule_lists = [_chain_rules(p) for p in ps]
-    out = []
-    for choice in product(*rule_lists):
-        bottom = _meet_labels([rule.first for rule in choice], target)
-        top = _meet_labels([rule.second for rule in choice], target)
-        out.append(chain_bit(bottom, top))
-    return _normalized(out)
+    pairs = _fold([_chain_rules(p) for p in ps], target)
+    return _normalized(chain_bit(_label(b, target), _label(t, target)) for b, t in pairs)
 
 
 # -- Forbidding antichain sums -----------------------------------------------
@@ -180,11 +227,6 @@ def component_blocks(antichain_sums) -> ComponentBlocks:
     return ComponentBlocks(tuple(comps), tuple(blocks))
 
 
-def _outcome_key(outcome):
-    left, right = outcome
-    return (tuple(sorted(t.text for t in left)), tuple(sorted(t.text for t in right)))
-
-
 def _block_outcomes(comps, block, max_block):
     """Distinct (left terms, right terms) outcomes of steering every
     two-sided split of one block.  Each split independently sends the
@@ -200,97 +242,40 @@ def _block_outcomes(comps, block, max_block):
             f"forbidden antichain sum has {len(block)} components; "
             f"the configured cap is {max_block}"
         )
-    outcomes = {(frozenset(), frozenset())}
+    outcomes = {(frozenset(), frozenset()): None}
     for mask in range(1 << len(block)):
         chosen = [comps[idx] for bit, idx in enumerate(block) if mask >> bit & 1]
         rest = [comps[idx] for bit, idx in enumerate(block) if not mask >> bit & 1]
         left_term = antichain_sum(chosen)
         right_term = antichain_sum(rest)
-        nxt = set()
+        nxt = {}
         for left, right in outcomes:
             if left_term.n_points >= 2:
-                nxt.add((left | {left_term}, right))
+                nxt[left | {left_term}, right] = None
             if right_term.n_points >= 2:
-                nxt.add((left, right | {right_term}))
+                nxt[left, right | {right_term}] = None
         outcomes = nxt
         if not outcomes:
             break
-    return sorted(outcomes, key=_outcome_key)
+    return list(outcomes)
 
 
 def antichain_bit_set(
     system: ComponentBlocks,
-    target: Ideal | None = None,
+    target: Ideal,
     *,
     max_block: int = DEFAULT_MAX_BLOCK,
 ) -> list[Bit]:
     """Normalized bit set forbidding the antichain sums described by the
-    block system.  Every cell label carries the target ideal (by
-    default, the ideal of the sums) as a factor, so labels are never
-    larger than the target."""
+    block system: the dominance-maximal ways of steering every block,
+    each cell labeled with the target ideal intersected with the
+    avoid-ideals of the sub-sums steered into it."""
     comps = system.components
     if any(c.kind == ANTICHAIN for c in comps):
         raise ValueError("components must not be antichain sums")
-    if target is None:
-        target = make_ideal(
-            antichain_sum(comps[i] for i in block) for block in system.blocks
-        )
     per_block = [_block_outcomes(comps, block, max_block) for block in system.blocks]
-    combined: list[tuple[frozenset, frozenset]] = [(frozenset(), frozenset())]
-    for outcomes in per_block:
-        combined = [
-            (left | bl, right | br)
-            for left, right in combined
-            for bl, br in outcomes
-        ]
-        combined = sorted(set(combined), key=_outcome_key)
-    out = []
-    for left, right in combined:
-        left_ideal = make_ideal(target.obstructions + tuple(left))
-        right_ideal = make_ideal(target.obstructions + tuple(right))
-        out.append(
-            antichain_bit(
-                R if left_ideal is target else left_ideal,
-                R if right_ideal is target else right_ideal,
-            )
-        )
-    return _normalized(out)
-
-
-# -- Dominance pruning ---------------------------------------------------------
-
-
-def _label_contains(outer, inner, target: Ideal) -> bool:
-    outer_ideal = target if outer is R else outer
-    inner_ideal = target if inner is R else inner
-    return contains_ideal(outer_ideal, inner_ideal)
-
-
-def _dominates(big: Bit, small: Bit, target: Ideal) -> bool:
-    if big.shape != small.shape:
-        return False
-    straight = _label_contains(big.first, small.first, target) and _label_contains(
-        big.second, small.second, target
-    )
-    if straight:
-        return True
-    if big.shape == ANTICHAIN_SHAPE:
-        return _label_contains(big.first, small.second, target) and _label_contains(
-            big.second, small.first, target
-        )
-    return False
-
-
-def prune_dominated(bits, target: Ideal) -> list[Bit]:
-    """Drop bits whose cells are contained pointwise in another bit's
-    cells (reading ``R`` as the target ideal); everything a dominated
-    bit builds, the dominating bit builds from the same parts."""
-    bits = list(bits)
-    return [
-        b
-        for b in bits
-        if not any(other is not b and _dominates(other, b, target) for other in bits)
-    ]
+    pairs = _fold(per_block, target, crosswise=True)
+    return _normalized(antichain_bit(_label(a, target), _label(b, target)) for a, b in pairs)
 
 
 # -- Top level -----------------------------------------------------------------
@@ -300,7 +285,6 @@ def synthesize(
     forbidden,
     *,
     max_block: int = DEFAULT_MAX_BLOCK,
-    prune: bool = False,
 ) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
@@ -308,8 +292,7 @@ def synthesize(
     then synthesized recursively (memoized by ideal key).  Labels always
     shrink strictly, so the recursion bottoms out; a violation raises
     ``StrictDecreaseError`` before recursing, since it would mean the
-    construction is wrong.  ``prune`` enables the optional dominance
-    pruning.
+    construction is wrong.
     """
     ideal = make_ideal(forbidden)
     if ideal.is_improper:
@@ -335,8 +318,6 @@ def synthesize(
             bits += antichain_bit_set(component_blocks(ants), target, max_block=max_block)
         else:
             bits.append(R_ANTICHAIN_BIT)
-        if prune:
-            bits = prune_dominated(bits, target)
         bits.sort(key=bit_sort_key)
         registered = []
         for bit in bits:

@@ -170,20 +170,11 @@ def canonicalize(raw) -> SpTerm:
     raise ValueError(f"unknown raw term tag {tag!r}")
 
 
-def size(t: SpTerm) -> int:
-    return t.n_points
-
-
 def compare(p: SpTerm, q: SpTerm) -> int:
     """Three-way total term order: -1, 0 or 1."""
     if p is q:
         return 0
     return -1 if p.sort_key < q.sort_key else 1
-
-
-def print_term(t: SpTerm) -> str:
-    """Canonical rendering in the term grammar."""
-    return t.text
 
 
 def _skip_ws(s: str, i: int) -> int:

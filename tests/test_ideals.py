@@ -4,7 +4,8 @@ Core claims:
     - make_ideal minimizes to a suborder antichain and intern-canonicalizes
     - membership is exactly "no obstruction embeds", matching direct
       enumeration of avoiders
-    - intersect is the meet and contains_ideal the containment order
+    - the union of obstruction sets is the meet and contains_ideal the
+      containment order
     - ideal keys are injective and match the documented examples
     - the obstruction-file format skips comments and blank lines
 """
@@ -20,8 +21,6 @@ from spdesc import (
     avoiders_upto,
     contains_ideal,
     enumerate_sp,
-    ideal_key,
-    intersect,
     is_suborder,
     make_ideal,
     member,
@@ -102,11 +101,15 @@ class TestMember:
         assert [t.text for t in chains] == ["0", "*", "C(*,*)", "C(*,*,*)"]
 
 
+def meet(a, b):
+    return make_ideal(a.obstructions + b.obstructions)
+
+
 class TestIntersect:
     def test_examples(self):
-        assert intersect(I("C(*,*,*)"), I("A(*,*)")) is I("C(*,*,*)", "A(*,*)")
-        assert intersect(I("C(*,*)"), I("C(*,*,*)")) is I("C(*,*)")
-        assert intersect(I("*"), I("C(*,*,*)")) is I("*")
+        assert meet(I("C(*,*,*)"), I("A(*,*)")) is I("C(*,*,*)", "A(*,*)")
+        assert meet(I("C(*,*)"), I("C(*,*,*)")) is I("C(*,*)")
+        assert meet(I("*"), I("C(*,*,*)")) is I("*")
 
     def test_is_the_meet_up_to_size_6(self):
         pairs = [
@@ -115,7 +118,7 @@ class TestIntersect:
             (I("C(*,*)"), I("A(*,*)")),
         ]
         for a, b in pairs:
-            both = intersect(a, b)
+            both = meet(a, b)
             for t in enumerate_sp(6):
                 assert member(both, t) == (member(a, t) and member(b, t))
 
@@ -151,13 +154,13 @@ class TestContains:
 
 class TestKeys:
     def test_examples(self):
-        assert ideal_key(I("C(*,*)")) == "C(*,*)"
-        assert ideal_key(ALL_SP_IDEAL) == ""
-        assert ideal_key(I("A(*,*)", "C(*,*,*)")) == "C(*,*,*)|A(*,*)"
+        assert I("C(*,*)").key == "C(*,*)"
+        assert ALL_SP_IDEAL.key == ""
+        assert I("A(*,*)", "C(*,*,*)").key == "C(*,*,*)|A(*,*)"
 
     def test_injective_on_samples(self):
         ideals = [I(*texts) for texts in SAMPLE_FAMILIES]
-        keys = [ideal_key(i) for i in ideals]
+        keys = [i.key for i in ideals]
         assert len(set(keys)) == len(set(ideals))
 
 

@@ -5,9 +5,13 @@ Core claims:
       normalization match the worked examples (two-chain vanishes,
       three-chain keeps the middle rule)
     - the tuple case intersects picked labels, rewrites the target to R,
-      and for one forbidden sum emits exactly its normalized rules
-    - the component-block system indexes positionally; the staged
-      split-steering enumeration emits exactly the naive candidate set
+      and for one forbidden sum emits exactly the dominance-maximal
+      normalized rules
+    - the component-block system indexes positionally; the pruned
+      split-steering product emits exactly the dominance-maximal
+      elements of the naive candidate set
+    - no emitted bit is dominated by another bit of its entry, and the
+      tables of 200 seeded random obstruction sets verify at size 6
     - with both shapes forbidden, every label is intersected with the
       entry's ideal; a hand-built table without that intersection
       readmits A(*,*) in the documented counterexample
@@ -18,10 +22,12 @@ Core claims:
 
 import hashlib
 import itertools
+import random
 
 import pytest
 
 from spdesc import (
+    Bit,
     BlockCapError,
     DegenerateIdealError,
     IdealRef,
@@ -37,12 +43,12 @@ from spdesc import (
     chain_sum,
     component_blocks,
     contains_ideal,
+    enumerate_sp,
     generate_upto,
     make_entry,
     make_ideal,
     normalize_bit,
     parse_term,
-    prune_dominated,
     synthesize,
     to_json,
     validate,
@@ -66,30 +72,64 @@ def bit_keys(bit):
     return (bit.shape, label_key(bit.first), label_key(bit.second))
 
 
+def dominates(big, small, target):
+    """True iff every cell of ``small`` lies inside the matching cell of
+    ``big`` (in either matching, for antichain bits), reading ``R`` as
+    the target ideal."""
+    if big.shape != small.shape:
+        return False
+
+    def cell(label):
+        return target if label is R else label
+
+    readings = [(big.first, big.second)]
+    if big.shape == "antichain":
+        readings.append((big.second, big.first))
+    return any(
+        contains_ideal(cell(a), cell(small.first)) and contains_ideal(cell(b), cell(small.second))
+        for a, b in readings
+    )
+
+
+def maximal(bits, target):
+    """The bits that no other bit dominates."""
+    bits = set(bits)
+    return {b for b in bits if not any(o != b and dominates(o, b, target) for o in bits)}
+
+
+def chain_bits(ps):
+    return chain_bit_set_multi(ps, make_ideal(ps))
+
+
+def antichain_bits(ants, **kwargs):
+    return antichain_bit_set(component_blocks(ants), make_ideal(ants), **kwargs)
+
+
 class TestChainBitSetSingle:
-    """The bit set of one forbidden chain sum, ``chain_bit_set_multi([p])``."""
+    """The bit set of one forbidden chain sum, ``chain_bit_set_multi([p],
+    ideal of p)``."""
 
     def test_two_chain_normalizes_away(self):
-        assert chain_bit_set_multi([T("C(*,*)")]) == []
+        assert chain_bits([T("C(*,*)")]) == []
 
     def test_three_chain_keeps_middle_rule(self):
-        bits = chain_bit_set_multi([T("C(*,*,*)")])
+        bits = chain_bits([T("C(*,*,*)")])
         assert [bit_keys(b) for b in bits] == [("chain", "C(*,*)", "C(*,*)")]
 
     def test_diamond_middle_rule(self):
-        bits = chain_bit_set_multi([T("C(*,A(*,*),*)")])
+        bits = chain_bits([T("C(*,A(*,*),*)")])
         assert ("chain", "C(*,A(*,*))", "C(A(*,*),*)") in [bit_keys(b) for b in bits]
 
     def test_rejects_non_chain(self):
         with pytest.raises(ValueError):
-            chain_bit_set_multi([T("A(*,*)")])
+            chain_bits([T("A(*,*)")])
 
 
 def naive_single_chain_bits(p):
     """Reference rules for one forbidden chain sum: build below an order
     avoiding the top layer, above one avoiding the bottom layer, or
     across inner layer i, each half avoiding its part of the layers;
-    then normalize, dropping duplicates in order."""
+    then normalize, dropping duplicates in order.  No rule is pruned."""
     parts = p.children
     rules = [chain_bit(R, make_ideal([parts[-1]])), chain_bit(make_ideal([parts[0]]), R)]
     for i in range(1, len(parts) - 1):
@@ -105,10 +145,13 @@ def naive_single_chain_bits(p):
 class TestChainBitSetMulti:
     def test_k1_equals_single(self):
         for s in ("C(*,*)", "C(*,*,*)", "C(*,A(*,*),*)", "C(A(*,*),*,A(*,*,*))"):
-            assert chain_bit_set_multi([T(s)]) == naive_single_chain_bits(T(s))
+            p = T(s)
+            bits = chain_bits([p])
+            assert len(bits) == len(set(bits))
+            assert set(bits) == maximal(naive_single_chain_bits(p), make_ideal([p])), s
 
     def test_worked_example(self):
-        bits = chain_bit_set_multi([T("C(*,*,*)"), T("C(A(*,*),A(*,*))")])
+        bits = chain_bits([T("C(*,*,*)"), T("C(A(*,*),A(*,*))")])
         keys = {bit_keys(b) for b in bits}
         assert ("chain", "A(*,*)|C(*,*)", "C(*,*)") in keys
         assert ("chain", "C(*,*)", "A(*,*)|C(*,*)") in keys
@@ -119,7 +162,7 @@ class TestChainBitSetMulti:
         # build-below rule for each leaves the bottom cell
         # self-referential.
         ps = [T("C(*,A(*,*))"), T("C(A(*,*),A(*,*,*))")]
-        bits = chain_bit_set_multi(ps)
+        bits = chain_bits(ps)
         assert any(b.first is R for b in bits)
 
     def test_labels_never_exceed_target(self):
@@ -153,7 +196,8 @@ class TestComponentBlocks:
 
 def naive_antichain_bits(ants):
     """Reference enumeration: every assignment of every two-sided split
-    of every block to a side, one candidate bit each, then normalize."""
+    of every block to a side, one candidate bit each, then normalize.
+    No candidate is pruned."""
     system = component_blocks(ants)
     target = make_ideal(ants)
     comps = system.components
@@ -188,10 +232,10 @@ def naive_antichain_bits(ants):
 
 class TestAntichainBitSet:
     def test_two_antichain_all_candidates_die(self):
-        assert antichain_bit_set(component_blocks([T("A(*,*)")])) == []
+        assert antichain_bits([T("A(*,*)")]) == []
 
     def test_three_antichain(self):
-        bits = antichain_bit_set(component_blocks([T("A(*,*,*)")]))
+        bits = antichain_bits([T("A(*,*,*)")])
         assert [bit_keys(b) for b in bits] == [("antichain", "A(*,*)", "A(*,*)")]
 
     def test_staged_matches_naive(self):
@@ -201,15 +245,18 @@ class TestAntichainBitSet:
             [T("A(*,C(*,*))")],
             [T("A(*,*)"), T("A(*,C(*,*))")],
             [T("A(*,*,*)"), T("A(*,C(*,*))")],
+            # pruning cuts the naive set of 8 bits to 4
+            [T("A(*,C(*,*),C(*,*,*))")],
         ]
         for ants in families:
-            staged = set(antichain_bit_set(component_blocks(ants)))
-            assert staged == naive_antichain_bits(ants), ants
+            staged = antichain_bits(ants)
+            assert len(staged) == len(set(staged))
+            assert set(staged) == maximal(naive_antichain_bits(ants), make_ideal(ants)), ants
 
     def test_block_cap(self):
         with pytest.raises(BlockCapError):
-            antichain_bit_set(component_blocks([T("A(*,*,*,*,*)")]))
-        bits = antichain_bit_set(component_blocks([T("A(*,*,*,*,*)")]), max_block=5)
+            antichain_bits([T("A(*,*,*,*,*)")])
+        bits = antichain_bits([T("A(*,*,*,*,*)")], max_block=5)
         assert bits  # enumerable once the cap is raised
 
 
@@ -241,11 +288,8 @@ class TestMixedBitSet:
     sets, every label intersected with the entry's ideal."""
 
     def test_label_intersection_example(self):
-        from spdesc import intersect
-
-        assert (
-            intersect(I("C(*,*)"), I("C(*,*,*)", "A(*,*)")).key == "A(*,*)|C(*,*)"
-        )
+        a, b = I("C(*,*)"), I("C(*,*,*)", "A(*,*)")
+        assert make_ideal(a.obstructions + b.obstructions).key == "A(*,*)|C(*,*)"
 
     def test_intersected_case_generates_exactly_the_target(self):
         desc = synthesize([T("C(*,*,*)"), T("A(*,*)")])
@@ -331,28 +375,50 @@ class TestSynthesize:
         assert validate(desc) == []
 
 
-class TestPruning:
-    def test_prune_preserves_semantics(self):
-        for texts in (["C(*,A(*,*),*)"], ["C(*,*,*)", "A(*,*,*)"], ["A(*,*,*)", "A(*,C(*,*))"]):
-            terms = [T(s) for s in texts]
-            pruned = synthesize(terms, prune=True)
-            plain = synthesize(terms)
-            assert verify_equivalence(terms, pruned, 6).equal
-            n_pruned = sum(len(e.bits) for e in pruned.entries.values())
-            n_plain = sum(len(e.bits) for e in plain.entries.values())
-            assert n_pruned <= n_plain
+class TestDominanceFree:
+    TABLES = (
+        ["C(*,A(*,*),*)"],
+        ["C(*,*,*)", "A(*,*,*)"],
+        ["A(*,*,*)", "A(*,C(*,*))"],
+        ["C(*,*,*)", "C(A(*,*),A(*,*))"],
+        ["A(*,C(*,*),C(*,*,*),C(*,A(*,*)))"],
+        ["C(*,A(*,*),*)", "A(*,*,*,*)"],
+    )
 
-    def test_prune_drops_dominated(self):
-        target = I("C(*,*,*)", "A(*,*)")
-        wide = chain_bit(R, R)
-        narrow = chain_bit(I("C(*,*)", "A(*,*)"), R)
-        kept = prune_dominated([wide, narrow], target)
-        assert kept == [wide]
+    def test_no_bit_is_dominated_within_its_entry(self):
+        for texts in self.TABLES:
+            desc = synthesize([T(s) for s in texts])
+
+            def resolve(label):
+                return label if label is R else desc.ideal_for(label.key)
+
+            for key, entry in desc.entries.items():
+                resolved = [Bit(b.shape, resolve(b.first), resolve(b.second)) for b in entry.bits]
+                assert maximal(resolved, entry.ideal) == set(resolved), (texts, key)
+
+    def test_tables_verify(self):
+        for texts in self.TABLES[:3]:
+            terms = [T(s) for s in texts]
+            assert verify_equivalence(terms, synthesize(terms), 6).equal
+
+
+def test_seeded_random_sets_verify():
+    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    rng = random.Random(4)
+    for _ in range(200):
+        terms = rng.sample(pool, rng.randint(1, 3))
+        report = verify_equivalence(terms, synthesize(terms), 6)
+        assert report.equal, ([t.text for t in terms], report.summary())
 
 
 # sha256 of ``to_json(synthesize(...))``, pinned so that any change to the
 # emitted tables shows up: the ten catalog sets, the width-4 antichain
-# sum, and three sets mixing chain sums with antichain sums.
+# sum, and three sets mixing chain sums with antichain sums.  The tables
+# are dominance-free; three of them lost dominated bits when pruning
+# moved into the product, and their hashes are those of the earlier
+# unpruned synthesis followed by a separate pass dropping dominated bits:
+# the width-4 sum, A(C(*,*),...)+C(A(*,*),*,*) and C(*,A(*,*),*)+A(*,*,*,*).
 GOLDEN = {
     ("C(*,*)",): "02904d70fe7450ed6cc3699609f1d912874d0b74a10fcd28228c30ae52f76487",
     ("A(*,*)",): "274dec66a070fcd77fc2f1bc2c763b8e9f8da5df8d881d0c771269b0346bf089",
@@ -370,16 +436,16 @@ GOLDEN = {
     ),
     ("C(*,A(*,*),*)",): "a999b2ef38b94135f64faf94c0f34e01288ad308463dccc2492f617754ed028e",
     ("C(*,A(*,*),*)", "A(*,*,*,*)"): (
-        "e4be2837f9af6b9c7347aa31b637fa9cc33b93b8291c83fb32f119ed8d906967"
+        "9b8f69d9541b5dd3b5727b53e8ea0e4c118d7e6c47f4cadfbc76da123e469e45"
     ),
     ("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))",): (
-        "5e40f0758cbf126437ef965051473e39b19423e6ea988d2c41b66fda8d9b2589"
+        "dfa2afd01839d0d724bf42d659a3fc90ea20e9b05adaab1e33a0a735931c3f4e"
     ),
     ("A(*,*,*)", "A(*,C(*,*))", "C(*,*,*,*)"): (
         "65cd4783a5db0f99b1a848d7773a363210495b7cbf0877bfa62a28f7d999d4c9"
     ),
     ("A(C(*,*),C(*,*,*),C(*,A(*,*)))", "C(A(*,*),*,*)"): (
-        "e8ba7d066b03cd83e7a14a6b9663df4af74fb2d61d864415534666847704e385"
+        "cdfdc4c5d139072c1507715ea93b7c1a4786ddc940686adfb992570640757910"
     ),
     ("A(*,C(*,A(*,*)))", "C(*,A(*,*),*)", "C(*,*,*,*)"): (
         "e8b96f425bf02761e81669bb6f621295cb845cd429f491d5034de2e8ba5919f1"

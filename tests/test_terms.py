@@ -30,8 +30,6 @@ from spdesc import (
     finest_chain_rep,
     is_suborder,
     parse_term,
-    print_term,
-    size,
     to_relation,
 )
 from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH
@@ -76,7 +74,7 @@ class TestParsePrint:
     def test_diamond(self):
         d = T("C(*,A(*,*),*)")
         assert d.kind == CHAIN
-        assert size(d) == 4
+        assert d.n_points == 4
 
     def test_empty(self):
         assert T("0") is EMPTY
@@ -89,7 +87,7 @@ class TestParsePrint:
 
     def test_roundtrip_up_to_size_8(self):
         for t in enumerate_sp(8):
-            assert parse_term(print_term(t)) is t
+            assert parse_term(t.text) is t
 
     def test_arity_rejected(self):
         with pytest.raises(TermParseError) as exc:
@@ -124,9 +122,9 @@ class TestParsePrint:
 
 class TestBasicShapes:
     def test_size(self):
-        assert size(EMPTY) == 0
-        assert size(POINT) == 1
-        assert size(T("C(*,A(*,*),*)")) == 4
+        assert EMPTY.n_points == 0
+        assert POINT.n_points == 1
+        assert T("C(*,A(*,*),*)").n_points == 4
 
     def test_finest_chain_rep(self):
         assert finest_chain_rep(T("C(*,A(*,*),*)")) == [POINT, T("A(*,*)"), POINT]
@@ -169,7 +167,7 @@ class TestSuborder:
 
     def test_point_embeds_in_nonempty(self):
         for t in enumerate_sp(4):
-            assert is_suborder(POINT, t) == (size(t) >= 1)
+            assert is_suborder(POINT, t) == (t.n_points >= 1)
 
     def test_partial_order_up_to_size_6(self):
         terms = enumerate_sp(6)
@@ -199,7 +197,7 @@ class TestEnumerate:
         assert len(enumerate_sp(4)) == 24
 
     def test_size_profile(self):
-        by_size = [len([t for t in enumerate_sp(4) if size(t) == s]) for s in range(5)]
+        by_size = [len([t for t in enumerate_sp(4) if t.n_points == s]) for s in range(5)]
         assert by_size == [1, 1, 2, 5, 15]
 
     def test_deterministic_order(self):
@@ -266,7 +264,7 @@ class TestRelations:
     def test_valid_partial_orders_up_to_size_6(self):
         for t in enumerate_sp(6):
             rel = to_relation(t)
-            assert rel.n == size(t)
+            assert rel.n == t.n_points
             for i in range(rel.n):
                 assert rel.leq[i] >> i & 1  # reflexive
                 for j in range(rel.n):
