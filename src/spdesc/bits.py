@@ -39,6 +39,9 @@ EMPTY_ONLY_KEY = EMPTY_ONLY_IDEAL.key  # "*"
 class UnknownIdealKeyError(KeyError):
     """A label or lookup key does not resolve in the description."""
 
+    def __str__(self):
+        return "unknown ideal key " + ", ".join(map(repr, self.args))
+
 
 class DocumentFormatError(ValueError):
     """A serialized description document violates the schema."""

@@ -3,10 +3,10 @@
 Subcommands: ``describe`` synthesizes a description from an obstruction
 file; ``verify`` checks a description against direct enumeration;
 ``member`` answers one ideal membership query; ``enumerate`` lists
-canonical terms; ``show`` pretty-prints a description document.  All
-configuration is via flags, so identical invocations produce identical
-output.  Exit codes: 0 success (and verification equal), 1 verification
-mismatch, 2 usage or input error.
+canonical terms; ``show`` pretty-prints a valid description document.
+All configuration is via flags, so identical invocations produce
+identical output.  Exit codes: 0 success (and verification equal), 1
+verification mismatch, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size", type=int, required=True)
 
     p = sub.add_parser("show", help="pretty-print a description document")
-    p.add_argument("doc", help="JSON document written by describe")
+    p.add_argument("doc", help="JSON document written by describe; it must be valid")
     return parser
 
 
@@ -89,14 +89,21 @@ def _cmd_describe(args) -> int:
     return 0
 
 
+def _load_valid_doc(path):
+    """The description document at ``path``; an invalid one is rejected
+    with every problem ``validate`` reports."""
+    with open(path, "r", encoding="utf-8") as fh:
+        desc = from_json(fh.read())
+    problems = validate(desc)
+    if problems:
+        raise DocumentFormatError("invalid description: " + "; ".join(problems))
+    return desc
+
+
 def _cmd_verify(args) -> int:
     terms = load_obstruction_file(args.file)
     if args.doc:
-        with open(args.doc, "r", encoding="utf-8") as fh:
-            desc = from_json(fh.read())
-        problems = validate(desc)
-        if problems:
-            raise DocumentFormatError("invalid description: " + "; ".join(problems))
+        desc = _load_valid_doc(args.doc)
         key = make_ideal(terms).key
         if desc.root != key:
             raise DocumentFormatError(
@@ -127,8 +134,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_show(args) -> int:
-    with open(args.doc, "r", encoding="utf-8") as fh:
-        desc = from_json(fh.read())
+    desc = _load_valid_doc(args.doc)
     print(f"root {desc.root}")
     for key in sorted(desc.entries):
         entry = desc.entries[key]

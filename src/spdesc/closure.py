@@ -14,6 +14,15 @@ The size cap is exact: every part of a sum of size <= n has size <= n,
 so the capped fixed point equals the full generated ideal restricted to
 terms of size <= n.
 
+The fixed point is evaluated one size at a time.  ``G[0]`` is the empty
+order and ``G[1]`` the point; ``G[s]`` collects, over every bit and
+every split ``a + b = s``, the sums of the first cell's members of size
+``a`` with the second cell's of size ``b``.  A self cell of size
+``a < s`` reads ``G[a]``, which is already complete; a self cell of the
+whole size ``s`` leaves the empty order to the other cell and only
+rebuilds a term of ``G[s]`` itself, so that split is skipped.  A static
+cell's members are bucketed by size once.
+
 ``member_topdown`` decides membership of a single term by running the
 bits backwards: a term is generated iff it is the empty or one point
 order, or some bit splits it - a chain bit along a prefix/suffix cut of
@@ -54,16 +63,23 @@ class GeneratedSet:
 
 def _cells(desc: StructuralDescription, key: str, n: int, limit: int):
     """Per bit: (is_chain, cell1, cell2); a cell is None for the
-    self-reference (dynamic) or a tuple of ideal members (static)."""
+    self-reference (dynamic) or the referenced ideal's members of size
+    <= n bucketed by size (static).  Cells with the same label share one
+    bucket list."""
+    buckets: dict[str, list[list[SpTerm]]] = {}
     prepped = []
     for bit in desc.bits_for(key):
         cells = []
         for label in (bit.first, bit.second):
             if label is R:
                 cells.append(None)
-            else:
-                ideal = desc.ideal_for(label.key)
-                cells.append(members_upto(ideal, n, limit=limit))
+                continue
+            got = buckets.get(label.key)
+            if got is None:
+                got = buckets[label.key] = [[] for _ in range(n + 1)]
+                for t in members_upto(desc.ideal_for(label.key), n, limit=limit):
+                    got[t.n_points].append(t)
+            cells.append(got)
         prepped.append((bit.shape == CHAIN_SHAPE, cells[0], cells[1]))
     return prepped
 
@@ -82,52 +98,34 @@ def generate_upto(
         raise ValueError("size bound must be nonnegative")
     prepped = _cells(desc, key, n, limit)
 
-    discovered = [EMPTY]
-    if n >= 1:
-        discovered.append(POINT)
-    seen = set(discovered)
-
-    def emit(t: SpTerm):
-        if t.n_points <= n and t not in seen:
-            seen.add(t)
-            discovered.append(t)
-            if len(discovered) > limit:
-                raise ResourceLimitError(
-                    f"generated set exceeds the cap of {limit} terms"
-                )
-
-    # Ideal-only bits never react to new terms; apply them once.
-    for is_chain, c1, c2 in prepped:
-        if c1 is not None and c2 is not None:
-            for a in c1:
-                for b in c2:
-                    if a.n_points + b.n_points <= n:
-                        emit(chain_sum((a, b)) if is_chain else antichain_sum((a, b)))
-
-    # Each unordered pair of discovered terms is combined exactly once,
-    # when the later of the two is processed.
-    i = 0
-    while i < len(discovered):
-        t = discovered[i]
+    by_size: list[set[SpTerm]] = [{EMPTY}]
+    found = 1
+    for s in range(1, n + 1):
+        level = {POINT} if s == 1 else set()
         for is_chain, c1, c2 in prepped:
-            if c1 is None and c2 is None:
-                for u in discovered[: i + 1]:
-                    if t.n_points + u.n_points <= n:
-                        if is_chain:
-                            emit(chain_sum((t, u)))
-                            emit(chain_sum((u, t)))
-                        else:
-                            emit(antichain_sum((t, u)))
-            elif c1 is None:
-                for u in c2:
-                    if t.n_points + u.n_points <= n:
-                        emit(chain_sum((t, u)) if is_chain else antichain_sum((t, u)))
-            elif c2 is None:
-                for u in c1:
-                    if t.n_points + u.n_points <= n:
-                        emit(chain_sum((u, t)) if is_chain else antichain_sum((u, t)))
-        i += 1
-    return GeneratedSet(n, frozenset(seen))
+            combine = chain_sum if is_chain else antichain_sum
+            for a in range(s + 1):
+                b = s - a
+                # A self cell filled with the whole size leaves the empty
+                # order to the other cell and rebuilds the same term.
+                if (c1 is None and b == 0) or (c2 is None and a == 0):
+                    continue
+                # Antichain sums commute: with one source in both cells,
+                # the split (a, b) builds what (b, a) builds.
+                if not is_chain and c1 is c2 and a > b:
+                    continue
+                firsts = by_size[a] if c1 is None else c1[a]
+                seconds = by_size[b] if c2 is None else c2[b]
+                for x in firsts:
+                    for y in seconds:
+                        level.add(combine((x, y)))
+                if found + len(level) > limit:
+                    raise ResourceLimitError(
+                        f"generated set exceeds the cap of {limit} terms"
+                    )
+        by_size.append(level)
+        found += len(level)
+    return GeneratedSet(n, frozenset().union(*by_size))
 
 
 def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:

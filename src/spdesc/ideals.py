@@ -24,6 +24,7 @@ from .terms import (
     SpTerm,
     enumerate_sp,
     is_suborder,
+    one_point_deletions,
     parse_term,
 )
 
@@ -105,11 +106,23 @@ _MEMBERS_CACHE: dict[tuple[Ideal, int], tuple[SpTerm, ...]] = {}
 
 
 def members_upto(ideal: Ideal, n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> tuple[SpTerm, ...]:
-    """All members of the ideal of size <= n, in enumeration order."""
+    """All members of the ideal of size <= n, in enumeration order.
+
+    Filled one size at a time by the deletion rule: a term belongs iff
+    it is not an obstruction and every one point deletion of it belongs.
+    An obstruction embedding properly into a term embeds into one of its
+    deletions, so no suborder test is needed; enumeration runs by size,
+    so every deletion is decided before the term."""
     key = (ideal, n)
     got = _MEMBERS_CACHE.get(key)
     if got is None:
-        got = tuple(t for t in enumerate_sp(n, limit=limit) if member(ideal, t))
+        terms = enumerate_sp(n, limit=limit)
+        obstructions = set(ideal.obstructions)
+        inside: set[SpTerm] = set()
+        for t in terms:
+            if t not in obstructions and inside.issuperset(one_point_deletions(t)):
+                inside.add(t)
+        got = tuple(t for t in terms if t in inside)
         _MEMBERS_CACHE[key] = got
     return got
 

@@ -63,9 +63,14 @@ from .bits import (
     make_entry,
 )
 from .ideals import Ideal, contains_ideal, make_ideal
-from .terms import ANTICHAIN, CHAIN, SpTerm, antichain_sum, chain_sum
+from .terms import ANTICHAIN, CHAIN, ResourceLimitError, SpTerm, antichain_sum, chain_sum
 
 DEFAULT_MAX_BLOCK = 4
+
+# Most distinct steering outcomes one block may have.  A width-4 block
+# peaks at 2**14; wider ones can double per split, so the budget turns
+# an exhausted memory into a clear rejection.
+MAX_BLOCK_OUTCOMES = 1 << 15
 
 
 class SynthesisError(Exception):
@@ -236,7 +241,8 @@ def _block_outcomes(comps, block, max_block):
     space.  A branch whose contributed sub-sum has fewer than two points
     is dropped outright: its label would normalize the bit away (an
     empty sub-sum gives the void ideal, a one point sub-sum the
-    empty-only ideal)."""
+    empty-only ideal).  More than ``MAX_BLOCK_OUTCOMES`` outcomes raise
+    ``ResourceLimitError``."""
     if len(block) > max_block:
         raise BlockCapError(
             f"forbidden antichain sum has {len(block)} components; "
@@ -254,6 +260,11 @@ def _block_outcomes(comps, block, max_block):
                 nxt[left | {left_term}, right] = None
             if right_term.n_points >= 2:
                 nxt[left, right | {right_term}] = None
+            if len(nxt) > MAX_BLOCK_OUTCOMES:
+                raise ResourceLimitError(
+                    f"forbidden antichain sum has more than {MAX_BLOCK_OUTCOMES}"
+                    " steering outcomes"
+                )
         outcomes = nxt
         if not outcomes:
             break

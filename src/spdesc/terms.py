@@ -378,6 +378,30 @@ def _antichain_in_antichain(pcomps, qcomps) -> bool:
     return assign(tuple(counts), 0, sum(c.n_points for c in pcomps))
 
 
+_DELETIONS_CACHE: dict[SpTerm, tuple[SpTerm, ...]] = {}
+
+
+def one_point_deletions(t: SpTerm) -> tuple[SpTerm, ...]:
+    """The distinct orders left by deleting one point of ``t``: a point
+    inside one layer of a chain sum or one component of an antichain sum
+    (equal components give equal results, so each is tried once)."""
+    got = _DELETIONS_CACHE.get(t)
+    if got is None:
+        if t.children:
+            combine = chain_sum if t.kind == CHAIN else antichain_sum
+            parts = t.children
+            made = {}
+            for i, part in enumerate(parts):
+                if t.kind == CHAIN or i == 0 or part is not parts[i - 1]:
+                    for d in one_point_deletions(part):
+                        made[combine(parts[:i] + (d,) + parts[i + 1 :])] = None
+            got = tuple(made)
+        else:
+            got = (EMPTY,) if t is POINT else ()
+        _DELETIONS_CACHE[t] = got
+    return got
+
+
 # -- Enumeration ------------------------------------------------------------
 
 _SIZE_CACHE: dict[int, tuple[SpTerm, ...]] = {}

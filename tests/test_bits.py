@@ -95,6 +95,14 @@ class TestRank:
         with pytest.raises(UnknownIdealKeyError):
             rank(desc, "A(*,*)")
 
+    def test_unknown_key_message(self):
+        from spdesc import UnknownIdealKeyError
+
+        desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]))
+        with pytest.raises(UnknownIdealKeyError) as exc:
+            desc.ideal_for("A(*,*,*)")
+        assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
+
     def test_rank_bounded_by_entry_count(self):
         desc = synthesize([T("C(*,A(*,*),*)")])
         assert rank(desc, desc.root) <= len(desc.entries)

@@ -5,9 +5,11 @@ Core claims:
     - verify exits 0 on equality and 1 on mismatch, with witness lines;
       an invalid or foreign --doc exits 2
     - member prints true/false; enumerate lists canonical terms
-    - show pretty-prints entries with ranks
+    - show pretty-prints entries with ranks, and rejects an invalid
+      document with exit 2
     - degenerate ideals and bad input (over-deep terms included) exit 2
-      with a diagnostic on stderr
+      with a diagnostic on stderr, and so does a forbidden antichain sum
+      with too many steering outcomes
 """
 
 import json
@@ -74,6 +76,13 @@ class TestDescribe:
     def test_missing_file_exits_2(self, capsys):
         assert main(["describe", "/nonexistent/f.txt"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_outcome_budget_exits_2(self, obstruction_file, capsys):
+        path = obstruction_file("w5.txt", "A(*,C(*,*),C(*,*,*),C(*,A(*,*)),C(A(*,*),*))\n")
+        assert main(["describe", path, "--max-block", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "steering outcomes" in captured.err
 
 
 class TestVerify:
@@ -181,6 +190,30 @@ class TestShow:
         bad.write_text('{"root": "x", "entries": [], "extra": 1}')
         assert main(["show", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_missing_root_entry_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "rootless.json"
+        doc.write_text(
+            '{"root": "C(*,*,*)", "entries": [{"ideal": ["C(*,*)"],'
+            ' "bits": [{"shape": "antichain", "labels": ["R", "R"]}]}]}'
+        )
+        assert main(["show", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid description" in captured.err
+        assert "root" in captured.err
+
+    def test_unresolved_label_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "dangling.json"
+        doc.write_text(
+            '{"root": "C(*,*,*)", "entries": [{"ideal": ["C(*,*,*)"],'
+            ' "bits": [{"shape": "chain", "labels": ["A(*,*)", "R"]}]}]}'
+        )
+        assert main(["show", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid description" in captured.err
+        assert "does not resolve" in captured.err
 
 
 class TestUsage:

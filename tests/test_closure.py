@@ -3,12 +3,16 @@
 Core claims:
     - generate_upto computes the size-capped least fixed point: the
       documented small examples come out exactly, results are monotone
-      in the bound, and re-applying any bit adds nothing
+      in the bound, re-applying any bit adds nothing, and the by-size
+      evaluation equals a worklist reference on every entry of the
+      catalog tables and of seeded random tables
     - ideal-labeled cells draw from the ideal, self cells from the set
       being built, and empty cells are fine
     - member_topdown agrees with generate_upto on every term within the
       bound, without materializing the set
 """
+
+import random
 
 import pytest
 
@@ -27,11 +31,25 @@ from spdesc import (
     generate_upto,
     make_entry,
     make_ideal,
+    member,
     member_topdown,
     members_upto,
     parse_term,
     synthesize,
 )
+
+CATALOG = [
+    ("C(*,*)",),
+    ("A(*,*)",),
+    ("C(*,*,*)",),
+    ("A(*,*,*)",),
+    ("C(*,A(*,*))",),
+    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
+    ("A(*,*,*)", "A(*,C(*,*))"),
+    ("C(*,*,*)", "A(*,*,*)"),
+    ("C(*,A(*,*),*)",),
+    ("C(*,A(*,*),*)", "A(*,*,*,*)"),
+]
 
 
 def T(s):
@@ -40,6 +58,57 @@ def T(s):
 
 def texts(terms):
     return sorted(t.text for t in terms)
+
+
+def random_sets(count, seed):
+    """Seeded obstruction sets of 1-3 terms of 2-5 points."""
+    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    rng = random.Random(seed)
+    return [rng.sample(pool, rng.randint(1, 3)) for _ in range(count)]
+
+
+def worklist_generate(desc, key, n):
+    """Reference closure: each discovered term is combined with every
+    earlier one in self cells and with every member of a static cell,
+    which is read by filtering all orders of size <= n through member."""
+    bits = []
+    for bit in desc.bits_for(key):
+        cells = []
+        for label in (bit.first, bit.second):
+            if label is R:
+                cells.append(None)
+            else:
+                ideal = desc.ideal_for(label.key)
+                cells.append([t for t in enumerate_sp(n) if member(ideal, t)])
+        bits.append((chain_sum if bit.shape == "chain" else antichain_sum, cells))
+    found = [EMPTY, POINT][: n + 1]
+    seen = set(found)
+
+    def add(combine, a, b):
+        if a.n_points + b.n_points <= n:
+            made = combine((a, b))
+            if made not in seen:
+                seen.add(made)
+                found.append(made)
+
+    for combine, (c1, c2) in bits:
+        if c1 is not None and c2 is not None:
+            for a in c1:
+                for b in c2:
+                    add(combine, a, b)
+    i = 0
+    while i < len(found):
+        t = found[i]
+        for combine, (c1, c2) in bits:
+            if c1 is None:
+                for u in found[: i + 1] if c2 is None else c2:
+                    add(combine, t, u)
+            if c2 is None:
+                for u in found[: i + 1] if c1 is None else c1:
+                    add(combine, u, t)
+        i += 1
+    return frozenset(seen)
 
 
 class TestGenerateUpto:
@@ -123,6 +192,26 @@ class TestGenerateUpto:
         desc = synthesize([T("C(*,A(*,*),*)")])
         with pytest.raises(ResourceLimitError):
             generate_upto(desc, desc.root, 7, limit=20)
+        got = generate_upto(desc, desc.root, 4).terms
+        assert generate_upto(desc, desc.root, 4, limit=len(got)).terms == got
+        with pytest.raises(ResourceLimitError):
+            generate_upto(desc, desc.root, 4, limit=len(got) - 1)
+
+    def test_matches_worklist_on_catalog_tables(self):
+        for texts_ in CATALOG:
+            desc = synthesize([T(s) for s in texts_])
+            for key in desc.entries:
+                want = worklist_generate(desc, key, 7)
+                assert generate_upto(desc, key, 7).terms == want, (texts_, key)
+
+    def test_matches_worklist_on_random_tables(self):
+        for i, terms in enumerate(random_sets(60, 5)):
+            desc = synthesize(terms)
+            for key in desc.entries:
+                for n in (6, 7) if i < 15 else (6,):
+                    want = worklist_generate(desc, key, n)
+                    got = generate_upto(desc, key, n).terms
+                    assert got == want, ([t.text for t in terms], key, n)
 
 
 class TestMemberTopdown:

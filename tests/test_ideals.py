@@ -3,12 +3,15 @@
 Core claims:
     - make_ideal minimizes to a suborder antichain and intern-canonicalizes
     - membership is exactly "no obstruction embeds", matching direct
-      enumeration of avoiders
+      enumeration of avoiders; members_upto, filled by one point
+      deletions, lists exactly the members in enumeration order
     - the union of obstruction sets is the meet and contains_ideal the
       containment order
     - ideal keys are injective and match the documented examples
     - the obstruction-file format skips comments and blank lines
 """
+
+import random
 
 import pytest
 
@@ -17,6 +20,7 @@ from spdesc import (
     EMPTY,
     EMPTY_ONLY_IDEAL,
     POINT,
+    R,
     VOID_IDEAL,
     avoiders_upto,
     contains_ideal,
@@ -27,6 +31,7 @@ from spdesc import (
     members_upto,
     parse_obstruction_lines,
     parse_term,
+    synthesize,
 )
 
 
@@ -50,6 +55,38 @@ SAMPLE_FAMILIES = [
     ("0",),
     ("*",),
 ]
+
+CATALOG = [
+    ("C(*,*)",),
+    ("A(*,*)",),
+    ("C(*,*,*)",),
+    ("A(*,*,*)",),
+    ("C(*,A(*,*))",),
+    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
+    ("A(*,*,*)", "A(*,C(*,*))"),
+    ("C(*,*,*)", "A(*,*,*)"),
+    ("C(*,A(*,*),*)",),
+    ("C(*,A(*,*),*)", "A(*,*,*,*)"),
+]
+
+
+def label_ideals():
+    """Every ideal labeling a bit of the catalog tables and of the
+    tables of 200 seeded obstruction sets of 1-3 terms of 2-5 points."""
+    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    rng = random.Random(5)
+    sets = [[T(s) for s in texts] for texts in CATALOG]
+    sets += [rng.sample(pool, rng.randint(1, 3)) for _ in range(200)]
+    found = {}
+    for terms in sets:
+        desc = synthesize(terms)
+        for entry in desc.entries.values():
+            for bit in entry.bits:
+                for label in (bit.first, bit.second):
+                    if label is not R:
+                        found[label.key] = desc.ideal_for(label.key)
+    return list(found.values())
 
 
 class TestMakeIdeal:
@@ -99,6 +136,13 @@ class TestMember:
         assert members_upto(EMPTY_ONLY_IDEAL, 3) == (EMPTY,)
         chains = members_upto(I("A(*,*)"), 3)
         assert [t.text for t in chains] == ["0", "*", "C(*,*)", "C(*,*,*)"]
+
+    def test_members_upto_is_the_member_filter(self):
+        ideals = [I(*texts) for texts in SAMPLE_FAMILIES] + label_ideals()
+        assert len(ideals) > 100
+        for ideal in ideals:
+            want = tuple(t for t in enumerate_sp(7) if member(ideal, t))
+            assert members_upto(ideal, 7) == want, ideal
 
 
 def meet(a, b):

@@ -6,6 +6,8 @@ Core claims:
     - the term grammar parses and prints round-trip on all canonical
       terms up to size 8; malformed input fails with a position
     - the suborder test matches its case rules and is a partial order
+    - one_point_deletions lists, once each, exactly the orders of one
+      point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
       counts, and the grammar and closure enumerations agree
     - materialized relations are valid partial orders and contain no
@@ -32,7 +34,7 @@ from spdesc import (
     parse_term,
     to_relation,
 )
-from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH
+from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH, one_point_deletions
 
 
 def T(s):
@@ -188,6 +190,26 @@ class TestSuborder:
         for p in terms:
             for q in terms:
                 assert is_suborder(p, q) == brute_embed(p, q), (p, q)
+
+
+class TestOnePointDeletions:
+    def test_examples(self):
+        assert one_point_deletions(EMPTY) == ()
+        assert one_point_deletions(POINT) == (EMPTY,)
+        assert set(one_point_deletions(T("C(*,A(*,*),*)"))) == {
+            T("C(A(*,*),*)"),
+            T("C(*,*,*)"),
+            T("C(*,A(*,*))"),
+        }
+        assert one_point_deletions(T("A(*,*,*)")) == (T("A(*,*)"),)
+
+    def test_matches_brute_force_up_to_size_7(self):
+        terms = enumerate_sp(7)
+        for t in terms:
+            got = one_point_deletions(t)
+            assert len(set(got)) == len(got), t
+            want = {p for p in terms if p.n_points == t.n_points - 1 and brute_embed(p, t)}
+            assert set(got) == want, t
 
 
 class TestEnumerate:
