@@ -27,7 +27,7 @@ from .bits import (
 )
 from .ideals import load_obstruction_file, make_ideal, member
 from .oracle import SizeGuardError, verify_equivalence
-from .synth import DEFAULT_MAX_BLOCK, SynthesisError, synthesize
+from .synth import SynthesisError, synthesize
 from .terms import ResourceLimitError, TermParseError, enumerate_sp, parse_term
 
 
@@ -45,12 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="obstruction file, one term per line, '#' comments")
     p.add_argument("--out", help="write the JSON document here instead of stdout")
     p.add_argument("--dot", help="also write a Graphviz view of the entry graph")
-    p.add_argument(
-        "--max-block",
-        type=int,
-        default=DEFAULT_MAX_BLOCK,
-        help="cap on components per forbidden antichain sum (default %(default)s)",
-    )
 
     p = sub.add_parser("verify", help="check a description against direct enumeration")
     p.add_argument("file", help="obstruction file")
@@ -60,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="verify this JSON document instead of synthesizing; it must be valid"
         " and rooted at the obstruction file's ideal",
     )
-    p.add_argument("--max-block", type=int, default=DEFAULT_MAX_BLOCK)
 
     p = sub.add_parser("member", help="decide membership of a term in the ideal")
     p.add_argument("file", help="obstruction file")
@@ -76,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_describe(args) -> int:
     terms = load_obstruction_file(args.file)
-    desc = synthesize(terms, max_block=args.max_block)
+    desc = synthesize(terms)
     text = to_json(desc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -110,7 +103,7 @@ def _cmd_verify(args) -> int:
                 f"document root {desc.root!r} is not the obstruction file's ideal {key!r}"
             )
     else:
-        desc = synthesize(terms, max_block=args.max_block)
+        desc = synthesize(terms)
     report = verify_equivalence(terms, desc, args.max_size)
     for witness in report.missing:
         print(f"missing {witness}")

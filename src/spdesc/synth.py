@@ -9,11 +9,9 @@ on the shapes of the obstructions:
   one of its chain rules (work below the top layer / above the bottom
   layer / split across an inner layer), with the picked cell labels
   intersected.
-* antichain sums: the forbidden sums' components are indexed
-  positionally and each forbidden sum contributes an index block; one
-  bit per way of steering every two-sided split of every block left or
-  right, the cells labeled with the intersected avoid-ideals of the
-  steered sub-sums.
+* antichain sums: one bit per way of steering every two-sided split of
+  the components of every forbidden sum left or right, the cells
+  labeled with the intersected avoid-ideals of the steered sub-sums.
 * an entry with both shapes gets the union of the two bit sets.  An
   entry without forbidden chain sums gets the all-chains bit instead of
   the chain bits, since stacking alone cannot build a forbidden order,
@@ -28,16 +26,17 @@ which is what makes the recursion terminate.
 
 Both products run through one pruned fold.  A partial outcome is a pair
 of cell ideals, starting as the entry's ideal twice; each choice (the
-rules of one forbidden chain sum, or the steering outcomes of one block)
-meets the two cells with the terms of the picked option, and only the
-pairs that no other pair contains pointwise are carried on.  Labels are
-monotone, ``ideal(T+L+X) = ideal(T+L) & ideal(X)``, so a dominated
-partial outcome stays dominated and pruning early loses no maximal bit.
-Antichain bits get one more, crosswise pass, since their two cells are
-unordered.  So no bit of an entry has its cells inside another bit's:
-such a bit would build nothing new.  Picking the maximal outcomes is a
+rules of one forbidden chain sum, or the two sides of one split of a
+forbidden antichain sum) meets the two cells with the terms of the
+picked option, and only the pairs that no other pair contains pointwise
+are carried on.  Labels are monotone, ``ideal(T+L+X) = ideal(T+L) &
+ideal(X)``, so a dominated partial outcome stays dominated and pruning
+early loses no maximal bit.  Antichain bits get one more, crosswise
+pass, since their two cells are unordered.  So no bit of an entry has
+its cells inside another bit's: such a bit would build nothing new.  Picking the maximal outcomes is a
 monotone dualization problem (Fredman and Khachiyan, J. Algorithms 21,
-1996).
+1996); a fold carrying more than ``MAX_FOLD_PAIRS`` pairs raises
+``ResourceLimitError``.
 
 Candidate bits are normalized before use: a cell labeled by the void
 ideal can never be filled, so the bit is dropped; a cell labeled by the
@@ -48,7 +47,8 @@ target and is dropped.  Normalization never changes the generated ideal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from itertools import product
 
 from .bits import (
     Bit,
@@ -63,14 +63,13 @@ from .bits import (
     make_entry,
 )
 from .ideals import Ideal, contains_ideal, make_ideal
-from .terms import ANTICHAIN, CHAIN, ResourceLimitError, SpTerm, antichain_sum, chain_sum
+from .terms import ANTICHAIN, CHAIN, EMPTY, ResourceLimitError, SpTerm, antichain_sum, chain_sum
 
-DEFAULT_MAX_BLOCK = 4
-
-# Most distinct steering outcomes one block may have.  A width-4 block
-# peaks at 2**14; wider ones can double per split, so the budget turns
-# an exhausted memory into a clear rejection.
-MAX_BLOCK_OUTCOMES = 1 << 15
+# Most cell pairs a fold may carry from one choice to the next.  Width-5
+# antichain sums peak at a few hundred pruned pairs and chain folds at a
+# few dozen; a width-6 sum of distinct components can exceed it, so the
+# budget turns an exhausted memory into a clear rejection.
+MAX_FOLD_PAIRS = 1 << 10
 
 
 class SynthesisError(Exception):
@@ -79,10 +78,6 @@ class SynthesisError(Exception):
 
 class DegenerateIdealError(SynthesisError):
     """The input ideal is improper, void, or trivial."""
-
-
-class BlockCapError(SynthesisError):
-    """A forbidden antichain sum has more components than the cap allows."""
 
 
 class StrictDecreaseError(SynthesisError):
@@ -138,9 +133,11 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
     right terms)`` forbids those terms in the two cells.  A pair
     contained pointwise in another stays so whatever is picked later,
     since ``ideal(T+L+X) = ideal(T+L) & ideal(X)``, so only the maximal
-    pairs are carried from choice to choice.  ``crosswise`` also drops a
-    pair contained in another one read the other way round, as for the
-    two unordered cells of an antichain bit."""
+    pairs are carried from choice to choice; more than
+    ``MAX_FOLD_PAIRS`` of them raise ``ResourceLimitError``.
+    ``crosswise`` also drops a pair contained in another one read the
+    other way round, as for the two unordered cells of an antichain
+    bit."""
     meets: dict = {}
     contains: dict = {}
 
@@ -167,6 +164,10 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
             (meet(left, lt), meet(right, rt)) for left, right in pairs for lt, rt in options
         )
         pairs = _maximal(stepped, straight)
+        if len(pairs) > MAX_FOLD_PAIRS:
+            raise ResourceLimitError(
+                f"synthesis keeps more than {MAX_FOLD_PAIRS} cell pairs for one entry"
+            )
     if crosswise:
         pairs = _maximal(
             pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
@@ -210,93 +211,45 @@ def chain_bit_set_multi(ps, target: Ideal) -> list[Bit]:
 # -- Forbidding antichain sums -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComponentBlocks:
-    """Positional index system over the components of the forbidden
-    antichain sums: one block of consecutive positions per forbidden
-    sum.  Equal components at different positions stay distinct."""
-
-    components: tuple[SpTerm, ...]
-    blocks: tuple[tuple[int, ...], ...]
-
-
-def component_blocks(antichain_sums) -> ComponentBlocks:
-    comps: list[SpTerm] = []
-    blocks: list[tuple[int, ...]] = []
-    for a in antichain_sums:
-        if a.kind != ANTICHAIN:
-            raise ValueError(f"not an antichain sum: {a!r}")
-        start = len(comps)
-        comps.extend(a.children)
-        blocks.append(tuple(range(start, len(comps))))
-    return ComponentBlocks(tuple(comps), tuple(blocks))
-
-
-def _block_outcomes(comps, block, max_block):
-    """Distinct (left terms, right terms) outcomes of steering every
-    two-sided split of one block.  Each split independently sends the
-    sub-sum over its left side into the left cell or the sub-sum over
-    its right side into the right cell; outcomes are deduplicated as
-    they are built, which collapses the doubly exponential raw choice
-    space.  A branch whose contributed sub-sum has fewer than two points
-    is dropped outright: its label would normalize the bit away (an
-    empty sub-sum gives the void ideal, a one point sub-sum the
-    empty-only ideal).  More than ``MAX_BLOCK_OUTCOMES`` outcomes raise
-    ``ResourceLimitError``."""
-    if len(block) > max_block:
-        raise BlockCapError(
-            f"forbidden antichain sum has {len(block)} components; "
-            f"the configured cap is {max_block}"
-        )
-    outcomes = {(frozenset(), frozenset()): None}
-    for mask in range(1 << len(block)):
-        chosen = [comps[idx] for bit, idx in enumerate(block) if mask >> bit & 1]
-        rest = [comps[idx] for bit, idx in enumerate(block) if not mask >> bit & 1]
-        left_term = antichain_sum(chosen)
-        right_term = antichain_sum(rest)
-        nxt = {}
-        for left, right in outcomes:
-            if left_term.n_points >= 2:
-                nxt[left | {left_term}, right] = None
-            if right_term.n_points >= 2:
-                nxt[left, right | {right_term}] = None
-            if len(nxt) > MAX_BLOCK_OUTCOMES:
-                raise ResourceLimitError(
-                    f"forbidden antichain sum has more than {MAX_BLOCK_OUTCOMES}"
-                    " steering outcomes"
-                )
-        outcomes = nxt
-        if not outcomes:
-            break
-    return list(outcomes)
+def _split_rules(a: SpTerm):
+    """One choice per two-sided split of a forbidden antichain sum's
+    components: forbid the sub-sum over the left side in the left cell,
+    or the sub-sum over the right side in the right cell.  Splits that
+    differ only in which of several equal components go left give the
+    same choice, so each sub-multiset of the components is one split.
+    An option whose sub-sum has fewer than two points is dropped, since
+    its label would normalize the bit away (the void or the empty-only
+    ideal).  The splits with an empty side are skipped: their only
+    option forbids ``a`` itself, which the target already forbids."""
+    if a.kind != ANTICHAIN:
+        raise ValueError(f"not an antichain sum: {a!r}")
+    parts = Counter(a.children)
+    for counts in product(*(range(k + 1) for k in parts.values())):
+        left = antichain_sum(c for c, n in zip(parts, counts) for _ in range(n))
+        right = antichain_sum(c for c, n in zip(parts, counts) for _ in range(parts[c] - n))
+        if left is EMPTY or right is EMPTY:
+            continue
+        options = []
+        if left.n_points >= 2:
+            options.append(((left,), ()))
+        if right.n_points >= 2:
+            options.append(((), (right,)))
+        yield options
 
 
-def antichain_bit_set(
-    system: ComponentBlocks,
-    target: Ideal,
-    *,
-    max_block: int = DEFAULT_MAX_BLOCK,
-) -> list[Bit]:
-    """Normalized bit set forbidding the antichain sums described by the
-    block system: the dominance-maximal ways of steering every block,
-    each cell labeled with the target ideal intersected with the
-    avoid-ideals of the sub-sums steered into it."""
-    comps = system.components
-    if any(c.kind == ANTICHAIN for c in comps):
-        raise ValueError("components must not be antichain sums")
-    per_block = [_block_outcomes(comps, block, max_block) for block in system.blocks]
-    pairs = _fold(per_block, target, crosswise=True)
+def antichain_bit_set(ants, target: Ideal) -> list[Bit]:
+    """Normalized bit set forbidding several antichain sums at once: the
+    dominance-maximal ways of steering every two-sided split of every
+    forbidden sum, each cell labeled with the target ideal intersected
+    with the avoid-ideals of the sub-sums steered into it."""
+    pairs = _fold((c for a in ants for c in _split_rules(a)), target, crosswise=True)
     return _normalized(antichain_bit(_label(a, target), _label(b, target)) for a, b in pairs)
 
 
 # -- Top level -----------------------------------------------------------------
 
 
-def synthesize(
-    forbidden,
-    *,
-    max_block: int = DEFAULT_MAX_BLOCK,
-) -> StructuralDescription:
+def synthesize(forbidden) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
     The root entry gets the dispatch's bit set; every ideal label is
@@ -326,7 +279,7 @@ def synthesize(
         ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
         bits = chain_bit_set_multi(chains, target) if chains else [R_CHAIN_BIT]
         if ants:
-            bits += antichain_bit_set(component_blocks(ants), target, max_block=max_block)
+            bits += antichain_bit_set(ants, target)
         else:
             bits.append(R_ANTICHAIN_BIT)
         bits.sort(key=bit_sort_key)

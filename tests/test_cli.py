@@ -3,20 +3,21 @@
 Core claims:
     - describe emits a deterministic JSON document (and optional DOT)
     - verify exits 0 on equality and 1 on mismatch, with witness lines;
-      an invalid or foreign --doc exits 2
+      an invalid or foreign --doc exits 2; a layer forbidding a
+      five-component antichain sum verifies
     - member prints true/false; enumerate lists canonical terms
     - show pretty-prints entries with ranks, and rejects an invalid
       document with exit 2
     - degenerate ideals and bad input (over-deep terms included) exit 2
-      with a diagnostic on stderr, and so does a forbidden antichain sum
-      with too many steering outcomes
+      with a diagnostic on stderr, and so does synthesis over the fold's
+      pair budget and a removed flag
 """
 
 import json
 
 import pytest
 
-from spdesc import from_json
+from spdesc import from_json, synth
 from spdesc.cli import main
 
 
@@ -77,12 +78,22 @@ class TestDescribe:
         assert main(["describe", "/nonexistent/f.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_outcome_budget_exits_2(self, obstruction_file, capsys):
-        path = obstruction_file("w5.txt", "A(*,C(*,*),C(*,*,*),C(*,A(*,*)),C(A(*,*),*))\n")
-        assert main(["describe", path, "--max-block", "5"]) == 2
+    def test_outcome_budget_exits_2(self, obstruction_file, capsys, monkeypatch):
+        path = obstruction_file("w4.txt", "A(*,C(*,*),C(*,*,*),C(*,A(*,*)))\n")
+        monkeypatch.setattr(synth, "MAX_FOLD_PAIRS", 4)
+        assert main(["describe", path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "steering outcomes" in captured.err
+        assert "more than 4 cell pairs" in captured.err
+
+    def test_removed_flag_is_a_usage_error(self, obstruction_file, capsys):
+        path = obstruction_file("a5.txt", "A(*,*,*,*,*)\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["describe", path, "--max-block", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --max-block 4" in captured.err
 
 
 class TestVerify:
@@ -135,11 +146,10 @@ class TestVerify:
         assert main(["verify", path, "--max-size", "6"]) == 0
         assert capsys.readouterr().out.strip().endswith("equal up to size 6")
 
-    def test_block_cap_exits_2(self, obstruction_file, capsys):
-        path = obstruction_file("f.txt", "A(*,*,*,*,*)\n")
-        assert main(["verify", path, "--max-size", "5"]) == 2
-        assert "cap" in capsys.readouterr().err
-        assert main(["verify", path, "--max-size", "5", "--max-block", "5"]) == 0
+    def test_five_component_layer_verifies(self, obstruction_file, capsys):
+        path = obstruction_file("f.txt", "C(*,A(*,*,*,*,*))\n")
+        assert main(["verify", path, "--max-size", "9"]) == 0
+        assert capsys.readouterr().out.strip().endswith("equal up to size 9")
 
 
 class TestMember:

@@ -62,8 +62,7 @@ def texts(terms):
 
 def random_sets(count, seed):
     """Seeded obstruction sets of 1-3 terms of 2-5 points."""
-    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
-    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2]
     rng = random.Random(seed)
     return [rng.sample(pool, rng.randint(1, 3)) for _ in range(count)]
 

@@ -73,8 +73,7 @@ CATALOG = [
 def label_ideals():
     """Every ideal labeling a bit of the catalog tables and of the
     tables of 200 seeded obstruction sets of 1-3 terms of 2-5 points."""
-    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
-    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2]
     rng = random.Random(5)
     sets = [[T(s) for s in texts] for texts in CATALOG]
     sets += [rng.sample(pool, rng.randint(1, 3)) for _ in range(200)]

@@ -7,17 +7,18 @@ Core claims:
     - the tuple case intersects picked labels, rewrites the target to R,
       and for one forbidden sum emits exactly the dominance-maximal
       normalized rules
-    - the component-block system indexes positionally; the pruned
-      split-steering product emits exactly the dominance-maximal
-      elements of the naive candidate set
-    - no emitted bit is dominated by another bit of its entry, and the
-      tables of 200 seeded random obstruction sets verify at size 6
+    - the pruned split-steering product emits exactly the
+      dominance-maximal elements of the naive candidate set
+    - no emitted bit is dominated by another bit of its entry, the
+      tables of 200 seeded random obstruction sets verify at size 6,
+      and antichain sums of five to eight components verify at size 9
     - with both shapes forbidden, every label is intersected with the
       entry's ideal; a hand-built table without that intersection
       readmits A(*,*) in the documented counterexample
     - synthesize dispatches by obstruction shape, recurses on labels,
       keeps labels strictly decreasing, terminates, and is deterministic
-    - degenerate inputs and oversized blocks fail with clear errors
+    - degenerate inputs fail with clear errors, and a fold over the
+      pair budget raises ResourceLimitError
 """
 
 import hashlib
@@ -28,12 +29,12 @@ import pytest
 
 from spdesc import (
     Bit,
-    BlockCapError,
     DegenerateIdealError,
     IdealRef,
     R,
     R_ANTICHAIN_BIT,
     R_CHAIN_BIT,
+    ResourceLimitError,
     StructuralDescription,
     antichain_bit,
     antichain_bit_set,
@@ -41,7 +42,6 @@ from spdesc import (
     chain_bit,
     chain_bit_set_multi,
     chain_sum,
-    component_blocks,
     contains_ideal,
     enumerate_sp,
     generate_upto,
@@ -49,6 +49,7 @@ from spdesc import (
     make_ideal,
     normalize_bit,
     parse_term,
+    synth,
     synthesize,
     to_json,
     validate,
@@ -101,8 +102,8 @@ def chain_bits(ps):
     return chain_bit_set_multi(ps, make_ideal(ps))
 
 
-def antichain_bits(ants, **kwargs):
-    return antichain_bit_set(component_blocks(ants), make_ideal(ants), **kwargs)
+def antichain_bits(ants):
+    return antichain_bit_set(ants, make_ideal(ants))
 
 
 class TestChainBitSetSingle:
@@ -175,47 +176,28 @@ class TestChainBitSetMulti:
                     assert label is not target
 
 
-class TestComponentBlocks:
-    def test_positional_indexing_keeps_duplicates(self):
-        p1, p2, p3 = T("C(*,*)"), T("C(*,*,*)"), T("C(*,*,*,*)")
-        system = component_blocks([antichain_sum([p1, p2]), antichain_sum([p2, p3])])
-        assert system.components == (p1, p2, p2, p3)
-        assert system.blocks == ((0, 1), (2, 3))
-
-    def test_single_sums(self):
-        system = component_blocks([T("A(*,*)")])
-        assert system.components == (T("*"), T("*"))
-        assert system.blocks == ((0, 1),)
-        system = component_blocks([T("A(*,*,*)")])
-        assert system.blocks == ((0, 1, 2),)
-
-    def test_rejects_non_antichain(self):
-        with pytest.raises(ValueError):
-            component_blocks([T("C(*,*)")])
-
-
 def naive_antichain_bits(ants):
     """Reference enumeration: every assignment of every two-sided split
-    of every block to a side, one candidate bit each, then normalize.
-    No candidate is pruned."""
-    system = component_blocks(ants)
+    of every forbidden sum's components, the empty sides included, to a
+    side, one candidate bit each, then normalize.  Equal components at
+    different positions split apart.  No candidate is pruned."""
     target = make_ideal(ants)
-    comps = system.components
-    block_splits = []
-    for block in system.blocks:
+    sum_splits = []
+    for a in ants:
+        comps = a.children
         splits = []
-        for mask in range(1 << len(block)):
-            left = [comps[i] for b, i in enumerate(block) if mask >> b & 1]
-            right = [comps[i] for b, i in enumerate(block) if not mask >> b & 1]
+        for mask in range(1 << len(comps)):
+            left = [c for i, c in enumerate(comps) if mask >> i & 1]
+            right = [c for i, c in enumerate(comps) if not mask >> i & 1]
             splits.append((antichain_sum(left), antichain_sum(right)))
-        block_splits.append(splits)
+        sum_splits.append(splits)
     out = set()
     all_assignments = [
-        itertools.product((1, 2), repeat=len(splits)) for splits in block_splits
+        itertools.product((1, 2), repeat=len(splits)) for splits in sum_splits
     ]
     for combo in itertools.product(*all_assignments):
         left_terms, right_terms = [], []
-        for splits, sides in zip(block_splits, combo):
+        for splits, sides in zip(sum_splits, combo):
             for (to_left, to_right), side in zip(splits, sides):
                 if side == 1:
                     left_terms.append(to_left)
@@ -247,17 +229,24 @@ class TestAntichainBitSet:
             [T("A(*,*,*)"), T("A(*,C(*,*))")],
             # pruning cuts the naive set of 8 bits to 4
             [T("A(*,C(*,*),C(*,*,*))")],
+            # equal components: the naive set splits them positionally
+            [T("A(*,C(*,*),C(*,*))")],
         ]
         for ants in families:
             staged = antichain_bits(ants)
             assert len(staged) == len(set(staged))
             assert set(staged) == maximal(naive_antichain_bits(ants), make_ideal(ants)), ants
 
-    def test_block_cap(self):
-        with pytest.raises(BlockCapError):
-            antichain_bits([T("A(*,*,*,*,*)")])
-        bits = antichain_bits([T("A(*,*,*,*,*)")], max_block=5)
-        assert bits  # enumerable once the cap is raised
+    def test_rejects_non_antichain(self):
+        with pytest.raises(ValueError):
+            antichain_bits([T("C(*,*)")])
+
+    def test_fold_budget(self, monkeypatch):
+        wide = [T("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))")]
+        assert len(antichain_bits(wide)) > 4
+        monkeypatch.setattr(synth, "MAX_FOLD_PAIRS", 4)
+        with pytest.raises(ResourceLimitError, match="more than 4 cell pairs"):
+            antichain_bits(wide)
 
 
 class TestNormalizeBit:
@@ -334,11 +323,18 @@ class TestSynthesize:
         with pytest.raises(DegenerateIdealError, match="trivial ideal"):
             synthesize([T("*"), T("C(*,*)")])
 
-    def test_block_cap_threads_through(self):
-        with pytest.raises(BlockCapError):
-            synthesize([T("A(*,*,*,*,*)")])
-        desc = synthesize([T("A(*,*,*,*,*)")], max_block=5)
-        assert verify_equivalence([T("A(*,*,*,*,*)")], desc, 6).equal
+    def test_wide_antichain_sums_verify(self):
+        # Sums of five to eight components, each obstruction small
+        # enough that verification at size 9 sees it excluded.
+        for text in (
+            "C(*,A(*,*,*,*,*))",
+            "A(*,*,*,C(*,*),C(*,*,*))",
+            "A(*,*,C(*,*),C(*,*),C(*,*,*))",
+            "A(*,*,*,*,*,*,*,*)",
+        ):
+            forbidden = [T(text)]
+            assert forbidden[0].n_points <= 9
+            assert verify_equivalence(forbidden, synthesize(forbidden), 9).equal, text
 
     def test_deterministic(self):
         for texts in (["C(*,A(*,*),*)"], ["C(*,*,*)", "A(*,*,*)"]):
@@ -403,8 +399,7 @@ class TestDominanceFree:
 
 
 def test_seeded_random_sets_verify():
-    # A(*,*,*,*,*) is left out: its five components exceed the block cap.
-    pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.text != "A(*,*,*,*,*)"]
+    pool = [t for t in enumerate_sp(5) if t.n_points >= 2]
     rng = random.Random(4)
     for _ in range(200):
         terms = rng.sample(pool, rng.randint(1, 3))
