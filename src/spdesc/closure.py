@@ -26,16 +26,16 @@ cell's members are bucketed by size once.
 ``member_topdown`` decides membership of a single term by running the
 bits backwards: a term is generated iff it is the empty or one point
 order, or some bit splits it - a chain bit along a prefix/suffix cut of
-its layers, an antichain bit along a two-way split of its components -
-with both halves accepted by their cells.  Self-labeled halves recurse
-(a half equal to the whole term is skipped; such an application never
-builds anything new), ideal-labeled halves are obstruction checks.
+its layers, an antichain bit along a two-way split of its components
+(``terms.antichain_splits``) - with both halves accepted by their
+cells.  Self-labeled halves recurse (a half equal to the whole term is
+skipped; such an application never builds anything new), ideal-labeled
+halves are obstruction checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .bits import CHAIN_SHAPE, R, StructuralDescription, UnknownIdealKeyError
 from .ideals import member, members_upto
@@ -43,11 +43,10 @@ from .terms import (
     DEFAULT_TERM_LIMIT,
     EMPTY,
     POINT,
-    ANTICHAIN,
     CHAIN,
     ResourceLimitError,
     SpTerm,
-    _component_runs,
+    antichain_splits,
     antichain_sum,
     chain_sum,
 )
@@ -150,31 +149,21 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
         if got is not None:
             return got
         # Recursion is well-founded: every self-labeled half is strictly
-        # smaller than t, so no in-progress sentinel is needed.
+        # smaller than t, so no in-progress sentinel is needed.  The splits
+        # of t's components are built once, at the first antichain bit,
+        # and shared by the others.
+        splits = None
         result = False
-        distinct, counts = _component_runs(t.children if t.kind == ANTICHAIN else (t,))
         for bit in desc.entries[key].bits:
             if bit.shape == CHAIN_SHAPE:
                 parts = t.children if t.kind == CHAIN else (t,)
-                for i in range(len(parts) + 1):
-                    bottom = chain_sum(parts[:i])
-                    top = chain_sum(parts[i:])
-                    if accepted(bottom, bit.first, t) and accepted(top, bit.second, t):
-                        result = True
-                        break
+                halves = ((chain_sum(parts[:i]), chain_sum(parts[i:])) for i in range(len(parts) + 1))
             else:
-                for pick in product(*(range(c + 1) for c in counts)):
-                    left_parts = []
-                    right_parts = []
-                    for comp, total, k in zip(distinct, counts, pick):
-                        left_parts.extend([comp] * k)
-                        right_parts.extend([comp] * (total - k))
-                    left = antichain_sum(left_parts)
-                    right = antichain_sum(right_parts)
-                    if accepted(left, bit.first, t) and accepted(right, bit.second, t):
-                        result = True
-                        break
-            if result:
+                if splits is None:
+                    splits = list(antichain_splits(t))
+                halves = splits
+            if any(accepted(x, bit.first, t) and accepted(y, bit.second, t) for x, y in halves):
+                result = True
                 break
         cache[ck] = result
         return result

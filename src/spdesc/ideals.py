@@ -21,6 +21,7 @@ from .terms import (
     DEFAULT_TERM_LIMIT,
     EMPTY,
     POINT,
+    ResourceLimitError,
     SpTerm,
     enumerate_sp,
     is_suborder,
@@ -106,17 +107,19 @@ _MEMBERS_CACHE: dict[tuple[Ideal, int], tuple[SpTerm, ...]] = {}
 
 
 def members_upto(ideal: Ideal, n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> tuple[SpTerm, ...]:
-    """All members of the ideal of size <= n, in enumeration order.
+    """All members of the ideal of size <= n, in enumeration order; more
+    than ``limit`` of them raise ``ResourceLimitError``.
 
     Filled one size at a time by the deletion rule: a term belongs iff
     it is not an obstruction and every one point deletion of it belongs.
     An obstruction embedding properly into a term embeds into one of its
     deletions, so no suborder test is needed; enumeration runs by size,
-    so every deletion is decided before the term."""
+    so every deletion is decided before the term.  ``limit`` is checked
+    on cached results too, so no refusal depends on earlier calls."""
     key = (ideal, n)
     got = _MEMBERS_CACHE.get(key)
     if got is None:
-        terms = enumerate_sp(n, limit=limit)
+        terms = enumerate_sp(n)
         obstructions = set(ideal.obstructions)
         inside: set[SpTerm] = set()
         for t in terms:
@@ -124,6 +127,8 @@ def members_upto(ideal: Ideal, n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> tu
                 inside.add(t)
         got = tuple(t for t in terms if t in inside)
         _MEMBERS_CACHE[key] = got
+    if len(got) > limit:
+        raise ResourceLimitError(f"members up to size {n} exceed the cap of {limit}")
     return got
 
 

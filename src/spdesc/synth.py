@@ -12,6 +12,8 @@ on the shapes of the obstructions:
 * antichain sums: one bit per way of steering every two-sided split of
   the components of every forbidden sum left or right, the cells
   labeled with the intersected avoid-ideals of the steered sub-sums.
+  The splits are those of ``terms.antichain_splits``, one per
+  sub-multiset of the components.
 * an entry with both shapes gets the union of the two bit sets.  An
   entry without forbidden chain sums gets the all-chains bit instead of
   the chain bits, since stacking alone cannot build a forbidden order,
@@ -47,9 +49,6 @@ target and is dropped.  Normalization never changes the generated ideal.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import product
-
 from .bits import (
     Bit,
     IdealRef,
@@ -58,12 +57,11 @@ from .bits import (
     R_CHAIN_BIT,
     StructuralDescription,
     antichain_bit,
-    bit_sort_key,
     chain_bit,
     make_entry,
 )
 from .ideals import Ideal, contains_ideal, make_ideal
-from .terms import ANTICHAIN, CHAIN, EMPTY, ResourceLimitError, SpTerm, antichain_sum, chain_sum
+from .terms import ANTICHAIN, CHAIN, EMPTY, ResourceLimitError, SpTerm, antichain_splits, chain_sum
 
 # Most cell pairs a fold may carry from one choice to the next.  Width-5
 # antichain sums peak at a few hundred pruned pairs and chain folds at a
@@ -104,12 +102,7 @@ def normalize_bit(bit: Bit):
 
 
 def _normalized(bits):
-    out = []
-    for bit in bits:
-        kept = normalize_bit(bit)
-        if kept is not None:
-            out.append(kept)
-    return list(dict.fromkeys(out))
+    return [bit for bit in map(normalize_bit, bits) if bit is not None]
 
 
 # -- The pruned product -------------------------------------------------------
@@ -223,10 +216,7 @@ def _split_rules(a: SpTerm):
     option forbids ``a`` itself, which the target already forbids."""
     if a.kind != ANTICHAIN:
         raise ValueError(f"not an antichain sum: {a!r}")
-    parts = Counter(a.children)
-    for counts in product(*(range(k + 1) for k in parts.values())):
-        left = antichain_sum(c for c, n in zip(parts, counts) for _ in range(n))
-        right = antichain_sum(c for c, n in zip(parts, counts) for _ in range(parts[c] - n))
+    for left, right in antichain_splits(a):
         if left is EMPTY or right is EMPTY:
             continue
         options = []
@@ -282,7 +272,6 @@ def synthesize(forbidden) -> StructuralDescription:
             bits += antichain_bit_set(ants, target)
         else:
             bits.append(R_ANTICHAIN_BIT)
-        bits.sort(key=bit_sort_key)
         registered = []
         for bit in bits:
             labels = []

@@ -24,7 +24,7 @@ values that are recomputed identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby
 
 EMPTY_KIND = 0
 POINT_KIND = 1
@@ -170,13 +170,6 @@ def canonicalize(raw) -> SpTerm:
     raise ValueError(f"unknown raw term tag {tag!r}")
 
 
-def compare(p: SpTerm, q: SpTerm) -> int:
-    """Three-way total term order: -1, 0 or 1."""
-    if p is q:
-        return 0
-    return -1 if p.sort_key < q.sort_key else 1
-
-
 def _skip_ws(s: str, i: int) -> int:
     while i < len(s) and s[i].isspace():
         i += 1
@@ -262,7 +255,9 @@ def finest_antichain_rep(t: SpTerm) -> list[SpTerm]:
 # Chain into chain assigns consecutive blocks of the smaller order's
 # layers to layers of the larger one, in order.  Antichain into
 # antichain distributes components to components, a group of two or
-# more landing inside a single target component.
+# more landing inside a single target component: each target component
+# in turn takes the left side of a split of the components not yet
+# placed, and only left sides that fit its point count are built.
 
 _SUB_CACHE: dict[tuple[SpTerm, SpTerm], bool] = {}
 
@@ -286,7 +281,7 @@ def is_suborder(p: SpTerm, q: SpTerm) -> bool:
             res = any(is_suborder(p, layer) for layer in q.children)
     elif q.kind == ANTICHAIN:
         if p.kind == ANTICHAIN:
-            res = _antichain_in_antichain(p.children, q.children)
+            res = _antichain_in_antichain(p, q.children)
         else:
             res = any(is_suborder(p, comp) for comp in q.children)
     else:
@@ -330,52 +325,71 @@ def _chain_in_chain(pparts, qparts) -> bool:
     return f(0, 0)
 
 
-def _component_runs(comps) -> tuple[list[SpTerm], list[int]]:
-    """Sorted components sit in runs of identical terms: the distinct
-    components in order and how often each occurs."""
-    distinct: list[SpTerm] = []
-    counts: list[int] = []
-    for c in comps:
-        if distinct and distinct[-1] is c:
-            counts[-1] += 1
-        else:
-            distinct.append(c)
-            counts.append(1)
-    return distinct, counts
+def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
+    """``antichain_sum`` of canonical components already in order."""
+    if not comps:
+        return EMPTY
+    if len(comps) == 1:
+        return comps[0]
+    return _mk(ANTICHAIN, tuple(comps))
 
 
-def _antichain_in_antichain(pcomps, qcomps) -> bool:
-    distinct, counts = _component_runs(pcomps)
+def antichain_splits(t: SpTerm, most: int | None = None):
+    """The two-sided splits of ``t``'s components (``t`` itself when it
+    is not an antichain sum), lazily, as ``(left, right)`` antichain sums.
+
+    Equal components are interchangeable, so there is one split per
+    sub-multiset of the components.  Splits come in product order over
+    the runs of equal components: the empty left side first, the last
+    run varying fastest.  With ``most``, only the splits whose left side
+    has at most ``most`` points are listed; the others are never built.
+    """
+    runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
+    pick = [0] * len(runs)
+    room = t.n_points if most is None else most  # points the left side may still take
+    while True:
+        left, right = [], []
+        for (comp, total), k in zip(runs, pick):
+            left += [comp] * k
+            right += [comp] * (total - k)
+        yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
+        # Advance the last run that can take one more component; the runs
+        # after it start again from none.
+        i = len(runs) - 1
+        while i >= 0 and (pick[i] == runs[i][1] or runs[i][0].n_points > room):
+            room += pick[i] * runs[i][0].n_points
+            pick[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        pick[i] += 1
+        room -= runs[i][0].n_points
+
+
+def _antichain_in_antichain(p: SpTerm, qcomps) -> bool:
     m = len(qcomps)
     qtail = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         qtail[j] = qtail[j + 1] + qcomps[j].n_points
     memo = {}
 
-    def assign(remaining, j, rem_size):
-        if rem_size == 0:
+    # assign(rest, j): can the components of ``rest`` go into components j.. of q?
+    def assign(rest, j):
+        if rest is EMPTY:
             return True
-        if j == m or rem_size > qtail[j]:
+        if j == m or rest.n_points > qtail[j]:
             return False
-        key = (remaining, j)
+        key = (rest, j)
         got = memo.get(key)
-        if got is not None:
-            return got
-        res = False
-        for pick in product(*(range(c + 1) for c in remaining)):
-            chosen = []
-            for term, k in zip(distinct, pick):
-                chosen.extend([term] * k)
-            group = antichain_sum(chosen)
-            if group is EMPTY or is_suborder(group, qcomps[j]):
-                rest = tuple(c - k for c, k in zip(remaining, pick))
-                if assign(rest, j + 1, rem_size - group.n_points):
-                    res = True
-                    break
-        memo[key] = res
-        return res
+        if got is None:
+            host = qcomps[j]
+            got = memo[key] = any(
+                (left is EMPTY or is_suborder(left, host)) and assign(right, j + 1)
+                for left, right in antichain_splits(rest, host.n_points)
+            )
+        return got
 
-    return assign(tuple(counts), 0, sum(c.n_points for c in pcomps))
+    return assign(p, 0)
 
 
 _DELETIONS_CACHE: dict[SpTerm, tuple[SpTerm, ...]] = {}

@@ -4,7 +4,8 @@ Core claims:
     - make_ideal minimizes to a suborder antichain and intern-canonicalizes
     - membership is exactly "no obstruction embeds", matching direct
       enumeration of avoiders; members_upto, filled by one point
-      deletions, lists exactly the members in enumeration order
+      deletions, lists exactly the members in enumeration order, and
+      its term cap holds whatever was cached before
     - the union of obstruction sets is the meet and contains_ideal the
       containment order
     - ideal keys are injective and match the documented examples
@@ -22,6 +23,7 @@ from spdesc import (
     POINT,
     R,
     VOID_IDEAL,
+    ResourceLimitError,
     avoiders_upto,
     contains_ideal,
     enumerate_sp,
@@ -135,6 +137,13 @@ class TestMember:
         assert members_upto(EMPTY_ONLY_IDEAL, 3) == (EMPTY,)
         chains = members_upto(I("A(*,*)"), 3)
         assert [t.text for t in chains] == ["0", "*", "C(*,*)", "C(*,*,*)"]
+
+    def test_members_upto_cap_does_not_depend_on_the_cache(self):
+        ideal = I("C(*,*,*)")
+        assert len(members_upto(ideal, 6)) == 56
+        with pytest.raises(ResourceLimitError):
+            members_upto(ideal, 6, limit=10)
+        assert len(members_upto(ideal, 6)) == 56
 
     def test_members_upto_is_the_member_filter(self):
         ideals = [I(*texts) for texts in SAMPLE_FAMILIES] + label_ideals()

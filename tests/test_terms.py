@@ -5,7 +5,11 @@ Core claims:
       antichain components, and is idempotent
     - the term grammar parses and prints round-trip on all canonical
       terms up to size 8; malformed input fails with a position
-    - the suborder test matches its case rules and is a partial order
+    - the suborder test matches its case rules and is a partial order,
+      and needs few recursive calls on two wide antichain sums of
+      distinct components
+    - antichain_splits lists each sub-multiset of the components once,
+      in product order, and its size bound only filters that list
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
@@ -14,8 +18,11 @@ Core claims:
       induced N
 """
 
+import random
+
 import pytest
 
+from spdesc import terms
 from spdesc import (
     EMPTY,
     POINT,
@@ -25,7 +32,6 @@ from spdesc import (
     brute_embed,
     canonicalize,
     chain_sum,
-    compare,
     enumerate_sp,
     enumerate_sp_by_closure,
     finest_antichain_rep,
@@ -34,7 +40,7 @@ from spdesc import (
     parse_term,
     to_relation,
 )
-from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH, one_point_deletions
+from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH, antichain_splits, one_point_deletions
 
 
 def T(s):
@@ -139,11 +145,6 @@ class TestBasicShapes:
         assert finest_antichain_rep(T("C(*,*)")) == [T("C(*,*)")]
         assert finest_antichain_rep(EMPTY) == []
 
-    def test_compare(self):
-        assert compare(POINT, POINT) == 0
-        assert compare(POINT, T("C(*,*)")) == -1
-        assert compare(T("C(*,*)"), T("A(*,*)")) == -1
-
     def test_canonical_children_shapes(self):
         # Chain layers are never chains or empty; dually for antichains.
         for t in enumerate_sp(6):
@@ -190,6 +191,76 @@ class TestSuborder:
         for p in terms:
             for q in terms:
                 assert is_suborder(p, q) == brute_embed(p, q), (p, q)
+
+    def test_wide_antichain_sums_stay_small(self, monkeypatch):
+        # Twenty distinct components of 2-5 points on each side, differing
+        # in one: trying every sub-multiset of the pattern's components
+        # against each host component made about two million suborder
+        # tests here.
+        pool = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.kind != ANTICHAIN]
+        comps = random.Random(1).sample(pool, 21)
+        p, q = antichain_sum(comps[:20]), antichain_sum(comps[1:])
+        assert p.n_points <= q.n_points
+        calls = 0
+        plain = terms.is_suborder
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return plain(a, b)
+
+        monkeypatch.setattr(terms, "_SUB_CACHE", {})
+        monkeypatch.setattr(terms, "is_suborder", counted)
+        assert not is_suborder(p, q)
+        assert is_suborder(antichain_sum(comps[1:20]), q)
+        assert calls < 10_000
+
+
+def _splits_by_masks(t):
+    """Reference for antichain_splits: every subset of the component
+    positions, one per sub-multiset, ordered by how many components of
+    each run of equal ones go left."""
+    comps = finest_antichain_rep(t)
+    runs = list(dict.fromkeys(comps))
+    found = {}
+    for mask in range(1 << len(comps)):
+        left = [c for i, c in enumerate(comps) if mask >> i & 1]
+        right = [c for i, c in enumerate(comps) if not mask >> i & 1]
+        pick = tuple(left.count(c) for c in runs)
+        found[pick] = (antichain_sum(left), antichain_sum(right))
+    return [found[pick] for pick in sorted(found)]
+
+
+class TestAntichainSplits:
+    def test_examples(self):
+        assert list(antichain_splits(T("A(*,*,C(*,*))"))) == [
+            (EMPTY, T("A(*,*,C(*,*))")),
+            (T("C(*,*)"), T("A(*,*)")),
+            (POINT, T("A(*,C(*,*))")),
+            (T("A(*,C(*,*))"), POINT),
+            (T("A(*,*)"), T("C(*,*)")),
+            (T("A(*,*,C(*,*))"), EMPTY),
+        ]
+        assert list(antichain_splits(T("C(*,*)"))) == [(EMPTY, T("C(*,*)")), (T("C(*,*)"), EMPTY)]
+        assert list(antichain_splits(T("A(*,*,C(*,*))"), 1)) == [
+            (EMPTY, T("A(*,*,C(*,*))")),
+            (POINT, T("A(*,C(*,*))")),
+        ]
+
+    def test_lazy(self):
+        wide = antichain_sum([T("C(*,*)")] + [chain_sum([POINT] * k) for k in range(3, 40)])
+        first = next(antichain_splits(wide))
+        assert first == (EMPTY, wide)
+
+    def test_every_sub_multiset_once_in_product_order_up_to_size_8(self):
+        for t in enumerate_sp(8):
+            if t.kind != ANTICHAIN:
+                continue
+            want = _splits_by_masks(t)
+            assert list(antichain_splits(t)) == want, t
+            for most in range(t.n_points + 1):
+                got = list(antichain_splits(t, most))
+                assert got == [s for s in want if s[0].n_points <= most], (t, most)
 
 
 class TestOnePointDeletions:
