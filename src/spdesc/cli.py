@@ -165,6 +165,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too large for the interpreter's recursion limit", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

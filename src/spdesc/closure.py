@@ -12,7 +12,10 @@ each cell's members on their own.
 
 The size cap is exact: every part of a sum of size <= n has size <= n,
 so the capped fixed point equals the full generated ideal restricted to
-terms of size <= n.
+terms of size <= n.  A static cell's members are enumerated, so
+``terms.MAX_ENUM_SIZE`` bounds n for an entry with an ideal label; an
+entry whose bits are all self-labeled is bounded only by the count of
+terms it generates, ``MAX_GENERATED_TERMS``.
 
 The fixed point is evaluated one size at a time.  ``G[0]`` is the empty
 order and ``G[1]`` the point; ``G[s]`` collects, over every bit and
@@ -40,7 +43,6 @@ from dataclasses import dataclass
 from .bits import CHAIN_SHAPE, R, StructuralDescription, UnknownIdealKeyError
 from .ideals import member, members_upto
 from .terms import (
-    DEFAULT_TERM_LIMIT,
     EMPTY,
     POINT,
     CHAIN,
@@ -52,6 +54,11 @@ from .terms import (
 )
 
 
+# Most terms ``generate_upto`` may collect, the number of orders of at
+# most 11 points rounded up.
+MAX_GENERATED_TERMS = 200_000
+
+
 @dataclass(frozen=True)
 class GeneratedSet:
     """Terms of size <= bound generated by one entry's bit set."""
@@ -60,7 +67,7 @@ class GeneratedSet:
     terms: frozenset
 
 
-def _cells(desc: StructuralDescription, key: str, n: int, limit: int):
+def _cells(desc: StructuralDescription, key: str, n: int):
     """Per bit: (is_chain, cell1, cell2); a cell is None for the
     self-reference (dynamic) or the referenced ideal's members of size
     <= n bucketed by size (static).  Cells with the same label share one
@@ -76,26 +83,21 @@ def _cells(desc: StructuralDescription, key: str, n: int, limit: int):
             got = buckets.get(label.key)
             if got is None:
                 got = buckets[label.key] = [[] for _ in range(n + 1)]
-                for t in members_upto(desc.ideal_for(label.key), n, limit=limit):
+                for t in members_upto(desc.ideal_for(label.key), n):
                     got[t.n_points].append(t)
             cells.append(got)
         prepped.append((bit.shape == CHAIN_SHAPE, cells[0], cells[1]))
     return prepped
 
 
-def generate_upto(
-    desc: StructuralDescription,
-    key: str,
-    n: int,
-    *,
-    limit: int = DEFAULT_TERM_LIMIT,
-) -> GeneratedSet:
+def generate_upto(desc: StructuralDescription, key: str, n: int) -> GeneratedSet:
     """Least fixed point of the entry's bits over {empty, point},
     restricted to terms of size <= n.  Deterministic and independent of
-    application order (the result is a plain set union)."""
+    application order (the result is a plain set union); more than
+    ``MAX_GENERATED_TERMS`` terms raise ``ResourceLimitError``."""
     if n < 0:
         raise ValueError("size bound must be nonnegative")
-    prepped = _cells(desc, key, n, limit)
+    prepped = _cells(desc, key, n)
 
     by_size: list[set[SpTerm]] = [{EMPTY}]
     found = 1
@@ -118,9 +120,9 @@ def generate_upto(
                 for x in firsts:
                     for y in seconds:
                         level.add(combine((x, y)))
-                if found + len(level) > limit:
+                if found + len(level) > MAX_GENERATED_TERMS:
                     raise ResourceLimitError(
-                        f"generated set exceeds the cap of {limit} terms"
+                        f"generated set exceeds the cap of {MAX_GENERATED_TERMS} terms"
                     )
         by_size.append(level)
         found += len(level)

@@ -14,10 +14,10 @@ on the shapes of the obstructions:
   labeled with the intersected avoid-ideals of the steered sub-sums.
   The splits are those of ``terms.antichain_splits``, one per
   sub-multiset of the components.
-* an entry with both shapes gets the union of the two bit sets.  An
-  entry without forbidden chain sums gets the all-chains bit instead of
-  the chain bits, since stacking alone cannot build a forbidden order,
-  and dually one without antichain sums gets the all-antichains bit.
+* every entry gets the union of the two bit sets.  An entry without
+  forbidden chain sums folds no choice, so its chain bit set is the
+  one all-chains bit: stacking alone cannot build a forbidden order.
+  Dually, one without antichain sums gets the all-antichains bit.
 
 Every cell label is built against the entry's own ideal: it is the
 intersection of that ideal with the rule's label, so a cell never
@@ -40,11 +40,16 @@ monotone dualization problem (Fredman and Khachiyan, J. Algorithms 21,
 1996); a fold carrying more than ``MAX_FOLD_PAIRS`` pairs raises
 ``ResourceLimitError``.
 
-Candidate bits are normalized before use: a cell labeled by the void
-ideal can never be filled, so the bit is dropped; a cell labeled by the
-empty-only ideal can only be filled with the empty order, so the point
-is deleted; a bit reduced to one point generates nothing outside the
-target and is dropped.  Normalization never changes the generated ideal.
+The fold drops every option that forbids an order of fewer than two
+points.  Its cell would be the void ideal, which no order fills, or the
+empty-only ideal, which leaves one point that builds nothing outside
+the target, so no bit can come of it.  Every other cell holds the
+point, since the target is nontrivial.  Dropping these options leaves
+the same bits in the same order as dropping their pairs at the end: a
+cell contained in the empty-only ideal is itself void or empty-only, so
+a pair with such a cell dominates no pair without one, straight or
+crosswise, and later choices only shrink its cells.  Only the number of
+pairs carried, which ``MAX_FOLD_PAIRS`` bounds, can fall.
 """
 
 from __future__ import annotations
@@ -53,8 +58,6 @@ from .bits import (
     Bit,
     IdealRef,
     R,
-    R_ANTICHAIN_BIT,
-    R_CHAIN_BIT,
     StructuralDescription,
     antichain_bit,
     chain_bit,
@@ -84,27 +87,6 @@ class StrictDecreaseError(SynthesisError):
     This indicates an implementation bug, not bad input."""
 
 
-def normalize_bit(bit: Bit):
-    """Semantics-preserving simplification of an ideal-labeled candidate
-    bit; returns the bit unchanged, or None when it is dropped.
-
-    Labels here are ``R`` or ``Ideal`` values.  A void label makes a
-    cell unfillable; an empty-only label deletes its point; one point or
-    fewer left means the bit generates nothing new.
-    """
-    labels = (bit.first, bit.second)
-    if any(label is not R and label.is_void for label in labels):
-        return None
-    kept = [label for label in labels if label is R or not label.is_empty_only]
-    if len(kept) <= 1:
-        return None
-    return bit
-
-
-def _normalized(bits):
-    return [bit for bit in map(normalize_bit, bits) if bit is not None]
-
-
 # -- The pruned product -------------------------------------------------------
 
 
@@ -128,9 +110,11 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
     since ``ideal(T+L+X) = ideal(T+L) & ideal(X)``, so only the maximal
     pairs are carried from choice to choice; more than
     ``MAX_FOLD_PAIRS`` of them raise ``ResourceLimitError``.
-    ``crosswise`` also drops a pair contained in another one read the
-    other way round, as for the two unordered cells of an antichain
-    bit."""
+    An option forbidding an order of fewer than two points is dropped,
+    since no bit can come of it.  ``crosswise`` also drops a pair
+    contained in another one read the other way round, as for the two
+    unordered cells of an antichain bit.  With no choices the one pair
+    is ``(target, target)``."""
     meets: dict = {}
     contains: dict = {}
 
@@ -153,6 +137,7 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
 
     pairs = [(target, target)]
     for options in choices:
+        options = [(lt, rt) for lt, rt in options if all(t.n_points >= 2 for t in lt + rt)]
         stepped = dict.fromkeys(
             (meet(left, lt), meet(right, rt)) for left, right in pairs for lt, rt in options
         )
@@ -190,15 +175,13 @@ def _chain_rules(p: SpTerm) -> list[tuple[tuple[SpTerm, ...], tuple[SpTerm, ...]
 
 
 def chain_bit_set_multi(ps, target: Ideal) -> list[Bit]:
-    """Normalized bit set forbidding several chain sums at once: the
+    """Bit set forbidding several chain sums at once: the
     dominance-maximal ways of picking one rule for each forbidden sum,
     the picked bottom labels intersected with the target ideal and
-    likewise the top labels."""
-    ps = list(ps)
-    if not ps:
-        raise ValueError("need at least one chain sum")
+    likewise the top labels.  With no chain sums it is the all-chains
+    bit."""
     pairs = _fold([_chain_rules(p) for p in ps], target)
-    return _normalized(chain_bit(_label(b, target), _label(t, target)) for b, t in pairs)
+    return [chain_bit(_label(b, target), _label(t, target)) for b, t in pairs]
 
 
 # -- Forbidding antichain sums -----------------------------------------------
@@ -210,30 +193,23 @@ def _split_rules(a: SpTerm):
     or the sub-sum over the right side in the right cell.  Splits that
     differ only in which of several equal components go left give the
     same choice, so each sub-multiset of the components is one split.
-    An option whose sub-sum has fewer than two points is dropped, since
-    its label would normalize the bit away (the void or the empty-only
-    ideal).  The splits with an empty side are skipped: their only
-    option forbids ``a`` itself, which the target already forbids."""
+    The splits with an empty side are skipped: their only option forbids
+    ``a`` itself, which the target already forbids."""
     if a.kind != ANTICHAIN:
         raise ValueError(f"not an antichain sum: {a!r}")
     for left, right in antichain_splits(a):
-        if left is EMPTY or right is EMPTY:
-            continue
-        options = []
-        if left.n_points >= 2:
-            options.append(((left,), ()))
-        if right.n_points >= 2:
-            options.append(((), (right,)))
-        yield options
+        if left is not EMPTY and right is not EMPTY:
+            yield [((left,), ()), ((), (right,))]
 
 
 def antichain_bit_set(ants, target: Ideal) -> list[Bit]:
-    """Normalized bit set forbidding several antichain sums at once: the
+    """Bit set forbidding several antichain sums at once: the
     dominance-maximal ways of steering every two-sided split of every
     forbidden sum, each cell labeled with the target ideal intersected
-    with the avoid-ideals of the sub-sums steered into it."""
+    with the avoid-ideals of the sub-sums steered into it.  With no
+    antichain sums it is the all-antichains bit."""
     pairs = _fold((c for a in ants for c in _split_rules(a)), target, crosswise=True)
-    return _normalized(antichain_bit(_label(a, target), _label(b, target)) for a, b in pairs)
+    return [antichain_bit(_label(a, target), _label(b, target)) for a, b in pairs]
 
 
 # -- Top level -----------------------------------------------------------------
@@ -267,11 +243,7 @@ def synthesize(forbidden) -> StructuralDescription:
         assert target.is_nontrivial_proper, target
         chains = [t for t in target.obstructions if t.kind == CHAIN]
         ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
-        bits = chain_bit_set_multi(chains, target) if chains else [R_CHAIN_BIT]
-        if ants:
-            bits += antichain_bit_set(ants, target)
-        else:
-            bits.append(R_ANTICHAIN_BIT)
+        bits = chain_bit_set_multi(chains, target) + antichain_bit_set(ants, target)
         registered = []
         for bit in bits:
             labels = []

@@ -31,7 +31,11 @@ POINT_KIND = 1
 CHAIN = 2
 ANTICHAIN = 3
 
-DEFAULT_TERM_LIMIT = 200_000
+# Largest size ``enumerate_sp`` lists.  The orders of at most 11 points
+# number 181,007 and those of at most 12 number 726,361, so the bound is
+# checked before a level is built: building the 12-point level alone
+# takes seconds and hundreds of megabytes.
+MAX_ENUM_SIZE = 11
 
 # Deepest nesting of sums that ``parse_term`` accepts.  Parsing, printing
 # and the suborder test recurse once or a few times per level, so a cap
@@ -41,7 +45,7 @@ MAX_TERM_DEPTH = 100
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration or closure grew past its configured size cap."""
+    """An enumeration, closure or synthesis fold grew past its size cap."""
 
 
 class TermParseError(ValueError):
@@ -468,27 +472,32 @@ def _terms_of_size(s: int) -> tuple[SpTerm, ...]:
     return out
 
 
-def enumerate_sp(n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> list[SpTerm]:
-    """All canonical terms of size <= n, one per isomorphism class,
-    sorted by the total term order."""
+def _check_enum_size(n: int) -> None:
     if n < 0:
         raise ValueError("size bound must be nonnegative")
+    if n > MAX_ENUM_SIZE:
+        raise ResourceLimitError(
+            f"enumeration of terms up to size {n} exceeds the cap of {MAX_ENUM_SIZE} points"
+        )
+
+
+def enumerate_sp(n: int) -> list[SpTerm]:
+    """All canonical terms of size <= n, one per isomorphism class,
+    sorted by the total term order; n above ``MAX_ENUM_SIZE`` raises
+    ``ResourceLimitError``."""
+    _check_enum_size(n)
     out = []
     for s in range(n + 1):
         out.extend(_terms_of_size(s))
-        if len(out) > limit:
-            raise ResourceLimitError(
-                f"enumeration of terms up to size {n} exceeds the cap of {limit}"
-            )
     return out
 
 
-def enumerate_sp_by_closure(n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> set[SpTerm]:
+def enumerate_sp_by_closure(n: int) -> set[SpTerm]:
     """Cross-check enumeration: close {empty, point} under binary chain
     and antichain sums within the size bound.  Kept independent of the
-    grammar-driven ``enumerate_sp`` on purpose."""
-    if n < 0:
-        raise ValueError("size bound must be nonnegative")
+    grammar-driven ``enumerate_sp`` on purpose, but under the same size
+    cap."""
+    _check_enum_size(n)
     terms = [EMPTY]
     if n >= 1:
         terms.append(POINT)
@@ -502,10 +511,6 @@ def enumerate_sp_by_closure(n: int, *, limit: int = DEFAULT_TERM_LIMIT) -> set[S
                     if made not in seen:
                         seen.add(made)
                         terms.append(made)
-                        if len(terms) > limit:
-                            raise ResourceLimitError(
-                                f"sum closure up to size {n} exceeds the cap of {limit}"
-                            )
         i += 1
     return seen
 

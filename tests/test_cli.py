@@ -9,8 +9,9 @@ Core claims:
     - show pretty-prints entries with ranks, and rejects an invalid
       document with exit 2
     - degenerate ideals and bad input (over-deep terms included) exit 2
-      with a diagnostic on stderr, and so does synthesis over the fold's
-      pair budget and a removed flag
+      with a diagnostic on stderr, and so do synthesis over the fold's
+      pair budget, a removed flag, enumeration past its size cap and
+      flat terms too long for the interpreter's recursion limit
 """
 
 import json
@@ -85,6 +86,13 @@ class TestDescribe:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "more than 4 cell pairs" in captured.err
+
+    def test_long_flat_antichain_exits_2(self, obstruction_file, capsys):
+        path = obstruction_file("a600.txt", "A(" + ",".join("*" * 600) + ")\n")
+        assert main(["describe", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input too large" in captured.err
 
     def test_removed_flag_is_a_usage_error(self, obstruction_file, capsys):
         path = obstruction_file("a5.txt", "A(*,*,*,*,*)\n")
@@ -176,11 +184,32 @@ class TestMember:
         assert main(["member", path, term]) == 2
         assert "nested more than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "obstruction, term",
+        [
+            ("C(A(*,*),*)", "C(" + ",".join("*" * 1200) + ")"),
+            ("A(C(*,*),C(*,*))", "A(" + ",".join("*" * 1200) + ")"),
+        ],
+        ids=["chain", "antichain"],
+    )
+    def test_long_flat_term_exits_2(self, obstruction_file, capsys, obstruction, term):
+        path = obstruction_file("o.txt", obstruction + "\n")
+        assert main(["member", path, term]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input too large" in captured.err
+
 
 class TestEnumerate:
     def test_lists_terms(self, capsys):
         assert main(["enumerate", "--max-size", "2"]) == 0
         assert capsys.readouterr().out == "0\n*\nC(*,*)\nA(*,*)\n"
+
+    def test_past_the_size_cap_exits_2(self, capsys):
+        assert main(["enumerate", "--max-size", "12"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap of 11 points" in captured.err
 
 
 class TestShow:

@@ -5,7 +5,8 @@ Core claims:
       documented small examples come out exactly, results are monotone
       in the bound, re-applying any bit adds nothing, and the by-size
       evaluation equals a worklist reference on every entry of the
-      catalog tables and of seeded random tables
+      catalog tables and of seeded random tables; a generated set over
+      its term cap raises ResourceLimitError
     - ideal-labeled cells draw from the ideal, self cells from the set
       being built, and empty cells are fine
     - member_topdown agrees with generate_upto on every term within the
@@ -16,6 +17,7 @@ import random
 
 import pytest
 
+from spdesc import closure
 from spdesc import (
     EMPTY,
     POINT,
@@ -187,14 +189,17 @@ class TestGenerateUpto:
         with pytest.raises(UnknownIdealKeyError):
             generate_upto(desc, "A(*,*,*)", 3)
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
         desc = synthesize([T("C(*,A(*,*),*)")])
-        with pytest.raises(ResourceLimitError):
-            generate_upto(desc, desc.root, 7, limit=20)
         got = generate_upto(desc, desc.root, 4).terms
-        assert generate_upto(desc, desc.root, 4, limit=len(got)).terms == got
+        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", 20)
         with pytest.raises(ResourceLimitError):
-            generate_upto(desc, desc.root, 4, limit=len(got) - 1)
+            generate_upto(desc, desc.root, 7)
+        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", len(got))
+        assert generate_upto(desc, desc.root, 4).terms == got
+        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", len(got) - 1)
+        with pytest.raises(ResourceLimitError):
+            generate_upto(desc, desc.root, 4)
 
     def test_matches_worklist_on_catalog_tables(self):
         for texts_ in CATALOG:

@@ -5,7 +5,7 @@ Core claims:
     - membership is exactly "no obstruction embeds", matching direct
       enumeration of avoiders; members_upto, filled by one point
       deletions, lists exactly the members in enumeration order, and
-      its term cap holds whatever was cached before
+      refuses sizes past the enumeration cap
     - the union of obstruction sets is the meet and contains_ideal the
       containment order
     - ideal keys are injective and match the documented examples
@@ -138,12 +138,11 @@ class TestMember:
         chains = members_upto(I("A(*,*)"), 3)
         assert [t.text for t in chains] == ["0", "*", "C(*,*)", "C(*,*,*)"]
 
-    def test_members_upto_cap_does_not_depend_on_the_cache(self):
+    def test_members_upto_refuses_past_the_enumeration_cap(self):
         ideal = I("C(*,*,*)")
         assert len(members_upto(ideal, 6)) == 56
-        with pytest.raises(ResourceLimitError):
-            members_upto(ideal, 6, limit=10)
-        assert len(members_upto(ideal, 6)) == 56
+        with pytest.raises(ResourceLimitError, match="cap of 11 points"):
+            members_upto(ideal, 12)
 
     def test_members_upto_is_the_member_filter(self):
         ideals = [I(*texts) for texts in SAMPLE_FAMILIES] + label_ideals()

@@ -1,12 +1,13 @@
 """Synthesis engine tests.
 
 Core claims:
-    - the chain rules for one forbidden chain sum and their
-      normalization match the worked examples (two-chain vanishes,
-      three-chain keeps the middle rule)
+    - the chain rules for one forbidden chain sum match the worked
+      examples (two-chain vanishes, three-chain keeps the middle rule)
     - the tuple case intersects picked labels, rewrites the target to R,
       and for one forbidden sum emits exactly the dominance-maximal
-      normalized rules
+      rules without a void or empty-only cell
+    - a bit set forbidding no sum is the all-R bit of its shape, and no
+      label of a synthesized table is void or empty-only
     - the pruned split-steering product emits exactly the
       dominance-maximal elements of the naive candidate set
     - no emitted bit is dominated by another bit of its entry, the
@@ -47,7 +48,6 @@ from spdesc import (
     generate_upto,
     make_entry,
     make_ideal,
-    normalize_bit,
     parse_term,
     synth,
     synthesize,
@@ -98,6 +98,15 @@ def maximal(bits, target):
     return {b for b in bits if not any(o != b and dominates(o, b, target) for o in bits)}
 
 
+def normalize(bit):
+    """The bit, or None when a cell is void or empty-only: such a cell
+    leaves the bit nothing to build outside its entry."""
+    labels = (bit.first, bit.second)
+    if any(label is not R and (label.is_void or label.is_empty_only) for label in labels):
+        return None
+    return bit
+
+
 def chain_bits(ps):
     return chain_bit_set_multi(ps, make_ideal(ps))
 
@@ -139,7 +148,7 @@ def naive_single_chain_bits(p):
                 make_ideal([chain_sum(parts[: i + 1])]), make_ideal([chain_sum(parts[i:])])
             )
         )
-    kept = [normalize_bit(b) for b in rules]
+    kept = [normalize(b) for b in rules]
     return list(dict.fromkeys(b for b in kept if b is not None))
 
 
@@ -206,7 +215,7 @@ def naive_antichain_bits(ants):
         li = make_ideal(target.obstructions + tuple(left_terms))
         ri = make_ideal(target.obstructions + tuple(right_terms))
         bit = antichain_bit(R if li is target else li, R if ri is target else ri)
-        kept = normalize_bit(bit)
+        kept = normalize(bit)
         if kept is not None:
             out.add(kept)
     return out
@@ -247,19 +256,6 @@ class TestAntichainBitSet:
         monkeypatch.setattr(synth, "MAX_FOLD_PAIRS", 4)
         with pytest.raises(ResourceLimitError, match="more than 4 cell pairs"):
             antichain_bits(wide)
-
-
-class TestNormalizeBit:
-    def test_empty_only_label_deletes_to_nothing(self):
-        assert normalize_bit(chain_bit(R, I("*"))) is None
-
-    def test_void_label_drops(self):
-        assert normalize_bit(antichain_bit(I("0"), I("C(*,*)"))) is None
-
-    def test_healthy_bit_unchanged(self):
-        bit = chain_bit(I("C(*,*)"), I("C(*,*)"))
-        assert normalize_bit(bit) is bit
-        assert normalize_bit(R_CHAIN_BIT) is R_CHAIN_BIT
 
 
 def naive_mixed_table():
@@ -312,6 +308,11 @@ class TestSynthesize:
         assert desc.entries[desc.root].bits == (R_CHAIN_BIT,)
         got = generate_upto(desc, desc.root, 4).terms
         assert sorted(t.text for t in got) == ["*", "0", "C(*,*)", "C(*,*,*)", "C(*,*,*,*)"]
+
+    def test_no_forbidden_sum_gives_the_all_r_bit(self):
+        for target in (I("C(*,*)"), I("A(*,*)"), I("C(*,*,*)", "A(*,*,*)")):
+            assert chain_bit_set_multi([], target) == [R_CHAIN_BIT]
+            assert antichain_bit_set([], target) == [R_ANTICHAIN_BIT]
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateIdealError, match="improper"):
@@ -398,11 +399,15 @@ class TestDominanceFree:
             assert verify_equivalence(terms, synthesize(terms), 6).equal
 
 
-def test_seeded_random_sets_verify():
+def seeded_sets():
+    """200 seeded random sets of one to three orders of 2-5 points."""
     pool = [t for t in enumerate_sp(5) if t.n_points >= 2]
     rng = random.Random(4)
-    for _ in range(200):
-        terms = rng.sample(pool, rng.randint(1, 3))
+    return [rng.sample(pool, rng.randint(1, 3)) for _ in range(200)]
+
+
+def test_seeded_random_sets_verify():
+    for terms in seeded_sets():
         report = verify_equivalence(terms, synthesize(terms), 6)
         assert report.equal, ([t.text for t in terms], report.summary())
 
@@ -452,3 +457,14 @@ GOLDEN = {
 def test_golden_describe_output(texts):
     text = to_json(synthesize([T(s) for s in texts]))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[texts]
+
+
+def test_no_label_is_void_or_empty_only():
+    for terms in [[T(s) for s in texts] for texts in GOLDEN] + seeded_sets():
+        desc = synthesize(terms)
+        for entry in desc.entries.values():
+            for bit in entry.bits:
+                for label in (bit.first, bit.second):
+                    if label is not R:
+                        ideal = desc.ideal_for(label.key)
+                        assert not ideal.is_void and not ideal.is_empty_only, (terms, bit)

@@ -13,7 +13,8 @@ Core claims:
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
-      counts, and the grammar and closure enumerations agree
+      counts, the grammar and closure enumerations agree, and both
+      refuse sizes past their cap before building anything
     - materialized relations are valid partial orders and contain no
       induced N
 """
@@ -303,10 +304,13 @@ class TestEnumerate:
             assert set(enumerate_sp(n)) == enumerate_sp_by_closure(n)
 
     def test_resource_cap(self):
-        with pytest.raises(ResourceLimitError):
-            enumerate_sp(6, limit=10)
-        with pytest.raises(ResourceLimitError):
-            enumerate_sp_by_closure(6, limit=10)
+        # The cap is checked before any level is built, so refusing
+        # twelve points caches nothing of that size.
+        with pytest.raises(ResourceLimitError, match="cap of 11 points"):
+            enumerate_sp(12)
+        with pytest.raises(ResourceLimitError, match="cap of 11 points"):
+            enumerate_sp_by_closure(12)
+        assert 12 not in terms._SIZE_CACHE
 
 
 def _has_induced_n(rel):
