@@ -258,6 +258,23 @@ class TestAntichainBitSet:
             antichain_bits(wide)
 
 
+class TestNormalizeBit:
+    """The fold drops options whose cell would be empty-only or void."""
+
+    def test_empty_only_label_deletes_to_nothing(self):
+        assert I("*").is_empty_only
+        target = I("C(*,*,*)")
+        assert synth._fold([[((), (T("*"),))]], target) == []
+        assert chain_bits([T("C(*,*)")]) == []
+
+    def test_void_label_drops(self):
+        assert I("0").is_void
+        target = I("C(*,*,*)")
+        assert synth._fold([[((T("0"),), ())]], target) == []
+        healthy = ((), (T("C(*,*)"),))
+        assert synth._fold([[((T("0"),), ()), healthy]], target) == [(target, I("C(*,*)"))]
+
+
 def naive_mixed_table():
     """The table for C(*,*,*)|A(*,*) with the chain rule's labels left
     unintersected with the root ideal: one chain bit with two C(*,*)
