@@ -12,7 +12,6 @@ verification mismatch, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .bits import (
@@ -26,9 +25,9 @@ from .bits import (
     validate,
 )
 from .ideals import load_obstruction_file, make_ideal, member
-from .oracle import SizeGuardError, verify_equivalence
+from .oracle import verify_equivalence
 from .synth import SynthesisError, synthesize
-from .terms import ResourceLimitError, TermParseError, enumerate_sp, parse_term
+from .terms import ResourceLimitError, enumerate_sp, parse_term
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,15 +152,11 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (
-        TermParseError,
         SynthesisError,
-        DocumentFormatError,
         UnknownIdealKeyError,
-        SizeGuardError,
         ResourceLimitError,
         OSError,
         ValueError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

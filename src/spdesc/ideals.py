@@ -17,6 +17,8 @@ order, which also fixes the canonical key string.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .terms import (
     EMPTY,
     POINT,
@@ -84,7 +86,6 @@ def make_ideal(obstructions) -> Ideal:
 
 VOID_IDEAL = make_ideal([EMPTY])
 EMPTY_ONLY_IDEAL = make_ideal([POINT])
-ALL_SP_IDEAL = make_ideal([])
 
 
 def member(ideal: Ideal, term: SpTerm) -> bool:
@@ -101,9 +102,6 @@ def contains_ideal(outer: Ideal, inner: Ideal) -> bool:
     )
 
 
-_MEMBERS_CACHE: dict[tuple[Ideal, int], tuple[SpTerm, ...]] = {}
-
-
 def members_upto(ideal: Ideal, n: int) -> tuple[SpTerm, ...]:
     """All members of the ideal of size <= n, in enumeration order,
     under the size cap of ``enumerate_sp``.
@@ -113,18 +111,18 @@ def members_upto(ideal: Ideal, n: int) -> tuple[SpTerm, ...]:
     An obstruction embedding properly into a term embeds into one of its
     deletions, so no suborder test is needed; enumeration runs by size,
     so every deletion is decided before the term."""
-    key = (ideal, n)
-    got = _MEMBERS_CACHE.get(key)
-    if got is None:
-        terms = enumerate_sp(n)
-        obstructions = set(ideal.obstructions)
-        inside: set[SpTerm] = set()
-        for t in terms:
-            if t not in obstructions and inside.issuperset(one_point_deletions(t)):
-                inside.add(t)
-        got = tuple(t for t in terms if t in inside)
-        _MEMBERS_CACHE[key] = got
-    return got
+    return _members_upto(ideal, n)
+
+
+@cache
+def _members_upto(ideal: Ideal, n: int) -> tuple[SpTerm, ...]:
+    terms = enumerate_sp(n)
+    obstructions = set(ideal.obstructions)
+    inside: set[SpTerm] = set()
+    for t in terms:
+        if t not in obstructions and inside.issuperset(one_point_deletions(t)):
+            inside.add(t)
+    return tuple(t for t in terms if t in inside)
 
 
 def parse_obstruction_lines(lines) -> list[SpTerm]:

@@ -13,6 +13,7 @@ sum of parts, each a forest stacked on an upside-down forest.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .bits import StructuralDescription
 from .closure import generate_upto
@@ -33,9 +34,6 @@ class SizeGuardError(ValueError):
     """Input too large for the brute-force predicates."""
 
 
-_EMBED_CACHE: dict[tuple[SpTerm, SpTerm], bool] = {}
-
-
 def brute_embed(p: SpTerm, q: SpTerm) -> bool:
     """Exhaustive search for an order isomorphism from ``p`` onto a
     restriction of ``q``; no use of the term structure beyond
@@ -50,16 +48,13 @@ def brute_embed(p: SpTerm, q: SpTerm) -> bool:
         raise SizeGuardError(
             f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points"
         )
-    key = (p, q)
-    got = _EMBED_CACHE.get(key)
-    if got is not None:
-        return got
-    res = _search_embedding(to_relation(p), to_relation(q))
-    _EMBED_CACHE[key] = res
-    return res
+    # The guard comes before the memo, so no cached answer skips it.
+    return _search_embedding(p, q)
 
 
-def _search_embedding(rp, rq) -> bool:
+@cache
+def _search_embedding(p: SpTerm, q: SpTerm) -> bool:
+    rp, rq = to_relation(p), to_relation(q)
     np_, nq = rp.n, rq.n
     full = (1 << nq) - 1
     # Host masks per point: everything strictly above / strictly below /
@@ -165,13 +160,12 @@ def verify_equivalence(forbidden, desc: StructuralDescription, n: int) -> Equiva
 
 # -- Diamond-free characterization --------------------------------------------
 
-_FOREST_CACHE: dict[SpTerm, bool] = {}
-_UPSIDE_CACHE: dict[SpTerm, bool] = {}
-
-
-def _strict_sets_are_chains(rel, above: bool) -> bool:
-    """True iff, for every point, the points strictly below it (strictly
-    above it when ``above``) are pairwise comparable."""
+@cache
+def _strict_sets_are_chains(t: SpTerm, above: bool) -> bool:
+    """True iff, for every point of ``t``, the points strictly below it
+    (strictly above it when ``above``) are pairwise comparable: ``t`` is
+    a forest, or an upside-down forest when ``above``."""
+    rel = to_relation(t)
     leq = rel.leq
     for i in range(rel.n):
         if above:
@@ -185,22 +179,6 @@ def _strict_sets_are_chains(rel, above: bool) -> bool:
     return True
 
 
-def _is_forest(t: SpTerm) -> bool:
-    """No point has two incomparable points below it."""
-    got = _FOREST_CACHE.get(t)
-    if got is None:
-        got = _FOREST_CACHE[t] = _strict_sets_are_chains(to_relation(t), above=False)
-    return got
-
-
-def _is_upside_down_forest(t: SpTerm) -> bool:
-    """No point has two incomparable points above it."""
-    got = _UPSIDE_CACHE.get(t)
-    if got is None:
-        got = _UPSIDE_CACHE[t] = _strict_sets_are_chains(to_relation(t), above=True)
-    return got
-
-
 def diamond_free_shape(p: SpTerm) -> bool:
     """True iff every component splits as an upside-down forest below a
     forest (either half possibly empty), the split taken between layers.
@@ -208,8 +186,8 @@ def diamond_free_shape(p: SpTerm) -> bool:
     for comp in finest_antichain_rep(p):
         parts = finest_chain_rep(comp)
         if not any(
-            _is_upside_down_forest(chain_sum(parts[:i]))
-            and _is_forest(chain_sum(parts[i:]))
+            _strict_sets_are_chains(chain_sum(parts[:i]), above=True)
+            and _strict_sets_are_chains(chain_sum(parts[i:]), above=False)
             for i in range(len(parts) + 1)
         ):
             return False

@@ -17,13 +17,18 @@ Under those rules each isomorphism class of finite SP orders has exactly
 one term.  Terms are interned, so equal terms are the same object and
 ``is``, ``==``, hashing and memo lookups are all cheap identity
 operations.  Everything in this module is a pure function of its
-arguments and safe for concurrent use; the memo tables only ever cache
-values that are recomputed identically.
+arguments and safe for concurrent use.  The suborder test, the one
+point deletions, the enumeration levels and the relations are memoized
+by ``functools.cache`` on private helpers, whose ``cache_info()``
+reports each memo's size and whose ``cache_clear()`` empties it: a memo
+only holds values that are recomputed identically.  The intern table is
+not a memo and is never cleared, since equal terms must stay one object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import groupby
 
 EMPTY_KIND = 0
@@ -263,8 +268,6 @@ def finest_antichain_rep(t: SpTerm) -> list[SpTerm]:
 # in turn takes the left side of a split of the components not yet
 # placed, and only left sides that fit its point count are built.
 
-_SUB_CACHE: dict[tuple[SpTerm, SpTerm], bool] = {}
-
 
 def is_suborder(p: SpTerm, q: SpTerm) -> bool:
     """True iff ``p`` is order-isomorphic to a restriction of ``q``."""
@@ -274,24 +277,21 @@ def is_suborder(p: SpTerm, q: SpTerm) -> bool:
         return False
     if p is POINT:
         return True
-    key = (p, q)
-    got = _SUB_CACHE.get(key)
-    if got is not None:
-        return got
+    # Only pairs past the shortcuts above enter the memo.
+    return _embeds(p, q)
+
+
+@cache
+def _embeds(p: SpTerm, q: SpTerm) -> bool:
     if q.kind == CHAIN:
         if p.kind == CHAIN:
-            res = _chain_in_chain(p.children, q.children)
-        else:
-            res = any(is_suborder(p, layer) for layer in q.children)
-    elif q.kind == ANTICHAIN:
+            return _chain_in_chain(p.children, q.children)
+        return any(is_suborder(p, layer) for layer in q.children)
+    if q.kind == ANTICHAIN:
         if p.kind == ANTICHAIN:
-            res = _antichain_in_antichain(p, q.children)
-        else:
-            res = any(is_suborder(p, comp) for comp in q.children)
-    else:
-        res = False  # q is a point and p has >= 2 points
-    _SUB_CACHE[key] = res
-    return res
+            return _antichain_in_antichain(p, q.children)
+        return any(is_suborder(p, comp) for comp in q.children)
+    return False  # q is a point and p has >= 2 points
 
 
 def _chain_in_chain(pparts, qparts) -> bool:
@@ -396,80 +396,70 @@ def _antichain_in_antichain(p: SpTerm, qcomps) -> bool:
     return assign(p, 0)
 
 
-_DELETIONS_CACHE: dict[SpTerm, tuple[SpTerm, ...]] = {}
-
-
 def one_point_deletions(t: SpTerm) -> tuple[SpTerm, ...]:
     """The distinct orders left by deleting one point of ``t``: a point
     inside one layer of a chain sum or one component of an antichain sum
     (equal components give equal results, so each is tried once)."""
-    got = _DELETIONS_CACHE.get(t)
-    if got is None:
-        if t.children:
-            combine = chain_sum if t.kind == CHAIN else antichain_sum
-            parts = t.children
-            made = {}
-            for i, part in enumerate(parts):
-                if t.kind == CHAIN or i == 0 or part is not parts[i - 1]:
-                    for d in one_point_deletions(part):
-                        made[combine(parts[:i] + (d,) + parts[i + 1 :])] = None
-            got = tuple(made)
-        else:
-            got = (EMPTY,) if t is POINT else ()
-        _DELETIONS_CACHE[t] = got
-    return got
+    return _deletions(t)
+
+
+@cache
+def _deletions(t: SpTerm) -> tuple[SpTerm, ...]:
+    if not t.children:
+        return (EMPTY,) if t is POINT else ()
+    combine = chain_sum if t.kind == CHAIN else antichain_sum
+    parts = t.children
+    made = {}
+    for i, part in enumerate(parts):
+        if t.kind == CHAIN or i == 0 or part is not parts[i - 1]:
+            for d in _deletions(part):
+                made[combine(parts[:i] + (d,) + parts[i + 1 :])] = None
+    return tuple(made)
 
 
 # -- Enumeration ------------------------------------------------------------
 
-_SIZE_CACHE: dict[int, tuple[SpTerm, ...]] = {}
 
-
+@cache
 def _terms_of_size(s: int) -> tuple[SpTerm, ...]:
-    got = _SIZE_CACHE.get(s)
-    if got is not None:
-        return got
     if s == 0:
-        out = (EMPTY,)
-    elif s == 1:
-        out = (POINT,)
-    else:
-        found = []
+        return (EMPTY,)
+    if s == 1:
+        return (POINT,)
+    found = []
 
-        # The first part never takes the whole size (a sum needs two
-        # parts), so only strictly smaller sizes are recursed into.
-        def chain_layers(remaining, acc):
-            if remaining == 0:
-                if len(acc) >= 2:
-                    found.append(_mk(CHAIN, tuple(acc)))
-                return
-            top = remaining if acc else remaining - 1
-            for k in range(1, top + 1):
-                for part in _terms_of_size(k):
-                    if part.kind != CHAIN:
-                        acc.append(part)
-                        chain_layers(remaining - k, acc)
-                        acc.pop()
+    # The first part never takes the whole size (a sum needs two
+    # parts), so only strictly smaller sizes are recursed into.
+    def chain_layers(remaining, acc):
+        if remaining == 0:
+            if len(acc) >= 2:
+                found.append(_mk(CHAIN, tuple(acc)))
+            return
+        top = remaining if acc else remaining - 1
+        for k in range(1, top + 1):
+            for part in _terms_of_size(k):
+                if part.kind != CHAIN:
+                    acc.append(part)
+                    chain_layers(remaining - k, acc)
+                    acc.pop()
 
-        def antichain_comps(remaining, min_key, acc):
-            if remaining == 0:
-                if len(acc) >= 2:
-                    found.append(_mk(ANTICHAIN, tuple(acc)))
-                return
-            top = remaining if acc else remaining - 1
-            for k in range(1, top + 1):
-                for part in _terms_of_size(k):
-                    if part.kind != ANTICHAIN and part.sort_key >= min_key:
-                        acc.append(part)
-                        antichain_comps(remaining - k, part.sort_key, acc)
-                        acc.pop()
+    def antichain_comps(remaining, min_key, acc):
+        if remaining == 0:
+            if len(acc) >= 2:
+                found.append(_mk(ANTICHAIN, tuple(acc)))
+            return
+        top = remaining if acc else remaining - 1
+        for k in range(1, top + 1):
+            for part in _terms_of_size(k):
+                if part.kind != ANTICHAIN and part.sort_key >= min_key:
+                    acc.append(part)
+                    antichain_comps(remaining - k, part.sort_key, acc)
+                    acc.pop()
 
-        chain_layers(s, [])
-        antichain_comps(s, EMPTY.sort_key, [])
-        found.sort(key=lambda t: t.sort_key)
-        out = tuple(found)
-    _SIZE_CACHE[s] = out
-    return out
+    chain_layers(s, [])
+    antichain_comps(s, EMPTY.sort_key, [])
+    found.sort(key=lambda t: t.sort_key)
+    return tuple(found)
 
 
 def _check_enum_size(n: int) -> None:
@@ -531,41 +521,36 @@ class PosetRelation:
     leq: tuple[int, ...]
 
 
-_REL_CACHE: dict[SpTerm, PosetRelation] = {}
-
-
 def to_relation(t: SpTerm) -> PosetRelation:
     """Materialize a term as a concrete relation: within a layer the
     layer's own order, everything in an earlier chain layer below every
     point of a later one, components of an antichain sum incomparable."""
-    rel = _REL_CACHE.get(t)
-    if rel is not None:
-        return rel
+    return _relation(t)
+
+
+@cache
+def _relation(t: SpTerm) -> PosetRelation:
     if t is EMPTY:
-        rel = PosetRelation(0, ())
-    elif t is POINT:
-        rel = PosetRelation(1, (1,))
+        return PosetRelation(0, ())
+    if t is POINT:
+        return PosetRelation(1, (1,))
+    parts = [_relation(c) for c in t.children]
+    total = sum(p.n for p in parts)
+    rows = []
+    off = 0
+    if t.kind == CHAIN:
+        for idx, p in enumerate(parts):
+            above = 0
+            o2 = off + p.n
+            for later in parts[idx + 1 :]:
+                above |= ((1 << later.n) - 1) << o2
+                o2 += later.n
+            for row in p.leq:
+                rows.append((row << off) | above)
+            off += p.n
     else:
-        parts = [to_relation(c) for c in t.children]
-        total = sum(p.n for p in parts)
-        rows = []
-        if t.kind == CHAIN:
-            off = 0
-            for idx, p in enumerate(parts):
-                above = 0
-                o2 = off + p.n
-                for later in parts[idx + 1 :]:
-                    above |= ((1 << later.n) - 1) << o2
-                    o2 += later.n
-                for row in p.leq:
-                    rows.append((row << off) | above)
-                off += p.n
-        else:
-            off = 0
-            for p in parts:
-                for row in p.leq:
-                    rows.append(row << off)
-                off += p.n
-        rel = PosetRelation(total, tuple(rows))
-    _REL_CACHE[t] = rel
-    return rel
+        for p in parts:
+            for row in p.leq:
+                rows.append(row << off)
+            off += p.n
+    return PosetRelation(total, tuple(rows))

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from spdesc import (
-    ALL_SP_IDEAL,
     EMPTY,
     EMPTY_ONLY_IDEAL,
     POINT,
@@ -94,7 +93,7 @@ class TestMakeIdeal:
     def test_minimization(self):
         assert I("C(*,*)", "C(*,*,*)") is I("C(*,*)")
         assert I("A(*,*)", "*") is I("*")
-        assert I() is ALL_SP_IDEAL
+        assert I() is make_ideal([])
 
     def test_void_and_trivial(self):
         assert I("0").is_void
@@ -112,7 +111,7 @@ class TestMakeIdeal:
     def test_classification(self):
         assert not VOID_IDEAL.is_nontrivial_proper
         assert not EMPTY_ONLY_IDEAL.is_nontrivial_proper
-        assert not ALL_SP_IDEAL.is_nontrivial_proper
+        assert not make_ideal([]).is_nontrivial_proper
         assert I("C(*,*)").is_nontrivial_proper
         assert I("C(*,*,*)", "A(*,*,*)").is_nontrivial_proper
 
@@ -206,7 +205,7 @@ class TestContains:
 class TestKeys:
     def test_examples(self):
         assert I("C(*,*)").key == "C(*,*)"
-        assert ALL_SP_IDEAL.key == ""
+        assert make_ideal([]).key == ""
         assert I("A(*,*)", "C(*,*,*)").key == "C(*,*,*)|A(*,*)"
 
     def test_injective_on_samples(self):

@@ -20,14 +20,21 @@ Core claims:
       keeps labels strictly decreasing, terminates, and is deterministic
     - degenerate inputs fail with clear errors, and a fold over the
       pair budget raises ResourceLimitError
+    - every memo cache of the package is pinned by name, fills during
+      synthesis and verification, and holds only pure results: cleared,
+      it gives byte-identical tables and reports, and the intern tables
+      are left alone
 """
 
 import hashlib
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import spdesc
 from spdesc import (
     Bit,
     DegenerateIdealError,
@@ -44,6 +51,7 @@ from spdesc import (
     chain_bit_set_multi,
     chain_sum,
     contains_ideal,
+    diamond_free_shape,
     enumerate_sp,
     generate_upto,
     make_entry,
@@ -474,6 +482,53 @@ GOLDEN = {
 def test_golden_describe_output(texts):
     text = to_json(synthesize([T(s) for s in texts]))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[texts]
+
+
+# Every memo cache of the package, as ``module.function``: a new memo, or
+# a renamed one, has to be named here.
+CACHES = [
+    "spdesc.ideals._members_upto",
+    "spdesc.oracle._search_embedding",
+    "spdesc.oracle._strict_sets_are_chains",
+    "spdesc.terms._deletions",
+    "spdesc.terms._embeds",
+    "spdesc.terms._relation",
+    "spdesc.terms._terms_of_size",
+]
+
+
+def test_caches_hold_only_pure_results():
+    modules = [
+        importlib.import_module(f"spdesc.{path.stem}")
+        for path in sorted(Path(spdesc.__file__).parent.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
+    caches = {
+        f"{module.__name__}.{name}": obj
+        for module in modules
+        for name, obj in vars(module).items()
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+    }
+    interned = {module.__name__: module._INTERN for module in modules if hasattr(module, "_INTERN")}
+    forbidden = [T("C(*,A(*,*),*)"), T("A(*,*,*,*)")]
+
+    def run():
+        tables = [to_json(synthesize([T(s) for s in texts])) for texts in sorted(GOLDEN)]
+        report = verify_equivalence(forbidden, synthesize(forbidden), 6)
+        shapes = [diamond_free_shape(t) for t in enumerate_sp(6)]
+        return tables, report, shapes
+
+    first = run()
+    assert sorted(caches) == CACHES
+    assert all(cache.cache_info().currsize > 0 for cache in caches.values())
+    before = {name: dict(table) for name, table in interned.items()}
+    for cache in caches.values():
+        cache.cache_clear()
+    assert all(cache.cache_info().currsize == 0 for cache in caches.values())
+    assert run() == first
+    assert all(cache.cache_info().currsize > 0 for cache in caches.values())
+    assert sorted(interned) == ["spdesc.ideals", "spdesc.terms"]
+    assert {name: dict(table) for name, table in interned.items()} == before
 
 
 def test_no_label_is_void_or_empty_only():

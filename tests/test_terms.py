@@ -210,7 +210,7 @@ class TestSuborder:
             calls += 1
             return plain(a, b)
 
-        monkeypatch.setattr(terms, "_SUB_CACHE", {})
+        terms._embeds.cache_clear()
         monkeypatch.setattr(terms, "is_suborder", counted)
         assert not is_suborder(p, q)
         assert is_suborder(antichain_sum(comps[1:20]), q)
@@ -306,11 +306,12 @@ class TestEnumerate:
     def test_resource_cap(self):
         # The cap is checked before any level is built, so refusing
         # twelve points caches nothing of that size.
+        levels = terms._terms_of_size.cache_info().currsize
         with pytest.raises(ResourceLimitError, match="cap of 11 points"):
             enumerate_sp(12)
         with pytest.raises(ResourceLimitError, match="cap of 11 points"):
             enumerate_sp_by_closure(12)
-        assert 12 not in terms._SIZE_CACHE
+        assert terms._terms_of_size.cache_info().currsize == levels
 
 
 def _has_induced_n(rel):
