@@ -3,12 +3,17 @@
 Core claims:
     - brute_embed finds exactly the order-isomorphic restrictions and
       agrees with the structural suborder test on all small pairs
+    - the pair-count refusal never refuses a true suborder
+    - every oracle cache is keyed on one term, so the size guard bounds
+      it by the number of orders of at most 9 points
     - avoiders_upto enumerates exactly the terms missing every forbidden
       suborder, and those sets are closed under suborders
     - verify_equivalence reports equality for honest pipelines and
       witnesses for corrupted descriptions
     - diamond_free_shape matches diamond-freeness exactly on small terms
 """
+
+import inspect
 
 import pytest
 
@@ -29,8 +34,28 @@ from spdesc import (
     synthesize,
     verify_equivalence,
 )
+from spdesc import oracle
 
 DIAMOND = "C(*,A(*,*),*)"
+
+CATALOG = [
+    ("C(*,*)",),
+    ("A(*,*)",),
+    ("C(*,*,*)",),
+    ("A(*,*,*)",),
+    ("C(*,A(*,*))",),
+    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
+    ("A(*,*,*)", "A(*,C(*,*))"),
+    ("C(*,*,*)", "A(*,*,*)"),
+    (DIAMOND,),
+    (DIAMOND, "A(*,*,*,*)"),
+]
+
+ORACLE_CACHES = [
+    obj
+    for obj in vars(oracle).values()
+    if hasattr(obj, "cache_clear") and obj.__module__ == oracle.__name__
+]
 
 
 def T(s):
@@ -59,10 +84,27 @@ class TestBruteEmbed:
         assert brute_embed(EMPTY, chain10) is True
 
     def test_agrees_with_structural_test(self):
-        terms = enumerate_sp(5)
+        terms = enumerate_sp(6)
         for p in terms:
             for q in terms:
                 assert brute_embed(p, q) == is_suborder(p, q), (p, q)
+
+    def test_pair_count_refusal_is_sound(self):
+        terms = enumerate_sp(6)
+        counts = {t: oracle._relation_masks(t)[3:] for t in terms}
+        refused = 0
+        for p in terms:
+            for q in terms:
+                if counts[p][0] > counts[q][0] or counts[p][1] > counts[q][1]:
+                    refused += 1
+                    assert not is_suborder(p, q), (p, q)
+                    assert not brute_embed(p, q), (p, q)
+        assert refused
+
+    def test_pair_counts(self):
+        assert oracle._relation_masks(EMPTY)[3:] == (0, 0)
+        assert oracle._relation_masks(T(DIAMOND))[3:] == (5, 1)
+        assert oracle._relation_masks(T("A(*,*,*,*)"))[3:] == (0, 6)
 
 
 class TestAvoiders:
@@ -86,6 +128,20 @@ class TestAvoiders:
                 for p in enumerate_sp(6):
                     if is_suborder(p, q):
                         assert p in got, (texts, p, q)
+
+    def test_caches_hold_one_entry_per_term(self):
+        assert ORACLE_CACHES
+        for memo in ORACLE_CACHES:
+            assert len(inspect.signature(memo.__wrapped__).parameters) == 1, memo
+            memo.cache_clear()
+        seen = set(enumerate_sp(9))
+        assert len(seen) == 11757
+        for texts in CATALOG:
+            forbidden = [T(s) for s in texts]
+            avoiders_upto(forbidden, 9)
+            seen.update(forbidden)
+        for memo in ORACLE_CACHES:
+            assert 0 < memo.cache_info().currsize <= len(seen), memo
 
 
 class TestVerifyEquivalence:

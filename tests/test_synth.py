@@ -488,8 +488,8 @@ def test_golden_describe_output(texts):
 # a renamed one, has to be named here.
 CACHES = [
     "spdesc.ideals._members_upto",
-    "spdesc.oracle._search_embedding",
-    "spdesc.oracle._strict_sets_are_chains",
+    "spdesc.oracle._constraint_rows",
+    "spdesc.oracle._relation_masks",
     "spdesc.terms._deletions",
     "spdesc.terms._embeds",
     "spdesc.terms._relation",
