@@ -35,10 +35,22 @@ are carried on.  Labels are monotone, ``ideal(T+L+X) = ideal(T+L) &
 ideal(X)``, so a dominated partial outcome stays dominated and pruning
 early loses no maximal bit.  Antichain bits get one more, crosswise
 pass, since their two cells are unordered.  So no bit of an entry has
-its cells inside another bit's: such a bit would build nothing new.  Picking the maximal outcomes is a
-monotone dualization problem (Fredman and Khachiyan, J. Algorithms 21,
-1996); a fold carrying more than ``MAX_FOLD_PAIRS`` pairs raises
-``ResourceLimitError``.
+its cells inside another bit's: such a bit would build nothing new.
+Picking the maximal outcomes is a monotone dualization problem (Fredman
+and Khachiyan, J. Algorithms 21, 1996); a fold carrying more than
+``MAX_FOLD_PAIRS`` pairs raises ``ResourceLimitError``.
+
+The fold compares cells as int masks.  Every cell is the entry's ideal
+with some option terms also forbidden, so it is fixed by the terms it
+excludes among a small universe: the entry's obstructions and the
+option terms read so far.  Those terms form an up-set of the universe
+whose minimal terms are the cell's obstructions, so equal masks are
+equal ideals, a cell lies inside another iff its mask covers the
+other's, and meeting a cell with an option is one ``|``.  The universe
+grows one choice at a time, since a sum of w distinct components has
+2^w - 2 two-sided splits and a refused fold reads only the first few: a
+new term joins every live mask that already excludes a term below it.
+Only the surviving pairs are turned back into ideals.
 
 The fold drops every option that forbids an order of fewer than two
 points.  Its cell would be the void ideal, which no order fills, or the
@@ -64,7 +76,16 @@ from .bits import (
     make_entry,
 )
 from .ideals import Ideal, contains_ideal, make_ideal
-from .terms import ANTICHAIN, CHAIN, EMPTY, ResourceLimitError, SpTerm, antichain_splits, chain_sum
+from .terms import (
+    ANTICHAIN,
+    CHAIN,
+    EMPTY,
+    ResourceLimitError,
+    SpTerm,
+    antichain_splits,
+    chain_sum,
+    is_suborder,
+)
 
 # Most cell pairs a fold may carry from one choice to the next.  Width-5
 # antichain sums peak at a few hundred pruned pairs and chain folds at a
@@ -114,32 +135,61 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
     since no bit can come of it.  ``crosswise`` also drops a pair
     contained in another one read the other way round, as for the two
     unordered cells of an antichain bit.  With no choices the one pair
-    is ``(target, target)``."""
-    meets: dict = {}
-    contains: dict = {}
+    is ``(target, target)``.
 
-    def meet(ideal, terms):
-        got = meets.get((ideal, terms))
-        if got is None:
-            got = meets[ideal, terms] = make_ideal(ideal.obstructions + tuple(terms))
-        return got
+    Each cell is carried as the mask of the universe terms it excludes,
+    bit k standing for ``universe[k]``; see the module docstring for why
+    equal masks are equal ideals.  A cell is decoded by ``make_ideal``
+    on its minimal terms, the k with ``down[k] & mask == 1 << k``."""
+    universe: list[SpTerm] = []
+    up: dict[SpTerm, int] = {}  # bit i of up[t]: t embeds into universe[i]
+    down: list[int] = []  # bit i of down[k]: universe[i] embeds into universe[k]
 
-    def within(inner, outer):
-        if inner is outer:
-            return True
-        got = contains.get((inner, outer))
-        if got is None:
-            got = contains[inner, outer] = contains_ideal(outer, inner)
-        return got
+    def grow(term):
+        """Add ``term`` to the universe; its bit and the mask of the
+        terms strictly below it."""
+        bit = 1 << len(universe)
+        above = below = bit
+        for i, other in enumerate(universe):
+            if is_suborder(other, term):
+                up[other] |= bit
+                below |= 1 << i
+            elif is_suborder(term, other):
+                down[i] |= bit
+                above |= 1 << i
+        universe.append(term)
+        up[term] = above
+        down.append(below)
+        return bit, below ^ bit
+
+    def lift(mask, fresh):
+        for bit, below in fresh:
+            if mask & below:
+                mask |= bit
+        return mask
+
+    def forbid(terms):
+        mask = 0
+        for t in terms:
+            mask |= up[t]
+        return mask
 
     def straight(big, small):
-        return within(small[0], big[0]) and within(small[1], big[1])
+        return not (big[0] & ~small[0] or big[1] & ~small[1])
 
-    pairs = [(target, target)]
+    for t in target.obstructions:
+        grow(t)
+    whole = forbid(target.obstructions)
+    pairs = [(whole, whole)]
     for options in choices:
         options = [(lt, rt) for lt, rt in options if all(t.n_points >= 2 for t in lt + rt)]
+        terms = dict.fromkeys(t for lt, rt in options for t in lt + rt if t not in up)
+        if terms:
+            fresh = [grow(t) for t in terms]
+            pairs = [(lift(left, fresh), lift(right, fresh)) for left, right in pairs]
+        steps = [(forbid(lt), forbid(rt)) for lt, rt in options]
         stepped = dict.fromkeys(
-            (meet(left, lt), meet(right, rt)) for left, right in pairs for lt, rt in options
+            (left | lm, right | rm) for left, right in pairs for lm, rm in steps
         )
         pairs = _maximal(stepped, straight)
         if len(pairs) > MAX_FOLD_PAIRS:
@@ -150,7 +200,12 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
         pairs = _maximal(
             pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
         )
-    return pairs
+
+    def ideal(mask):
+        # Interned, so the target's own mask gives the target itself.
+        return make_ideal(t for i, t in enumerate(universe) if down[i] & mask == 1 << i)
+
+    return [(ideal(left), ideal(right)) for left, right in pairs]
 
 
 def _label(ideal: Ideal, target: Ideal):

@@ -295,7 +295,11 @@ def _embeds(p: SpTerm, q: SpTerm) -> bool:
 
 
 def _chain_in_chain(pparts, qparts) -> bool:
-    # f(i, j): can layers i.. of p embed into layers j.. of q, blocks in order.
+    # Layers i.. of p embed into layers j.. of q, blocks in order, iff
+    # j <= last[i]: the highest layer of q that can take a block starting
+    # at layer i, the rest going above it (-1 when none can).  Each
+    # last[i] reads only those above it, so no call recurses, and fewer
+    # layers of p embed more easily, so once one is -1 all below it are.
     n, m = len(pparts), len(qparts)
     ptail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -303,30 +307,23 @@ def _chain_in_chain(pparts, qparts) -> bool:
     qtail = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         qtail[j] = qtail[j + 1] + qparts[j].n_points
-    memo = {}
-
-    def f(i, j):
-        if i == n:
-            return True
-        if j == m or ptail[i] > qtail[j]:
-            return False
-        key = (i, j)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        res = f(i, j + 1)
-        if not res:
+    last = [-1] * n + [m]
+    for i in range(n - 1, -1, -1):
+        for j in range(m - 1, -1, -1):
+            if ptail[i] > qtail[j]:
+                continue
             for l in range(i, n):
                 # A failing block only grows worse when extended.
                 if not is_suborder(chain_sum(pparts[i : l + 1]), qparts[j]):
                     break
-                if f(l + 1, j + 1):
-                    res = True
+                if last[l + 1] > j:
+                    last[i] = j
                     break
-        memo[key] = res
-        return res
-
-    return f(0, 0)
+            if last[i] >= 0:
+                break
+        if last[i] < 0:
+            return False
+    return True
 
 
 def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
@@ -375,25 +372,33 @@ def _antichain_in_antichain(p: SpTerm, qcomps) -> bool:
     qtail = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         qtail[j] = qtail[j + 1] + qcomps[j].n_points
+    # memo[rest] = [j, found]: q's components are tried from the last one
+    # down, each taking the left side of a split of ``rest`` with the
+    # right side going above it.  Found, j is the highest that can; not
+    # yet found, j is the next to try.  The loop runs over q's components
+    # and only the right sides recurse, so the depth is at most p's
+    # number of components, and each component is tried once per rest.
     memo = {}
 
-    # assign(rest, j): can the components of ``rest`` go into components j.. of q?
-    def assign(rest, j):
+    # fits(rest, lo): can the components of ``rest`` go into components lo.. of q?
+    def fits(rest, lo):
         if rest is EMPTY:
             return True
-        if j == m or rest.n_points > qtail[j]:
-            return False
-        key = (rest, j)
-        got = memo.get(key)
-        if got is None:
-            host = qcomps[j]
-            got = memo[key] = any(
-                (left is EMPTY or is_suborder(left, host)) and assign(right, j + 1)
-                for left, right in antichain_splits(rest, host.n_points)
+        state = memo.get(rest)
+        if state is None:
+            state = memo[rest] = [m - 1, False]
+        j, found = state
+        while not found and j >= lo:
+            found = rest.n_points <= qtail[j] and any(
+                left is not EMPTY and is_suborder(left, qcomps[j]) and fits(right, j + 1)
+                for left, right in antichain_splits(rest, qcomps[j].n_points)
             )
-        return got
+            if not found:
+                j -= 1
+        state[:] = j, found
+        return found and j >= lo
 
-    return assign(p, 0)
+    return fits(p, 0)
 
 
 def one_point_deletions(t: SpTerm) -> tuple[SpTerm, ...]:
@@ -462,47 +467,20 @@ def _terms_of_size(s: int) -> tuple[SpTerm, ...]:
     return tuple(found)
 
 
-def _check_enum_size(n: int) -> None:
+def enumerate_sp(n: int) -> list[SpTerm]:
+    """All canonical terms of size <= n, one per isomorphism class,
+    sorted by the total term order; n above ``MAX_ENUM_SIZE`` raises
+    ``ResourceLimitError``."""
     if n < 0:
         raise ValueError("size bound must be nonnegative")
     if n > MAX_ENUM_SIZE:
         raise ResourceLimitError(
             f"enumeration of terms up to size {n} exceeds the cap of {MAX_ENUM_SIZE} points"
         )
-
-
-def enumerate_sp(n: int) -> list[SpTerm]:
-    """All canonical terms of size <= n, one per isomorphism class,
-    sorted by the total term order; n above ``MAX_ENUM_SIZE`` raises
-    ``ResourceLimitError``."""
-    _check_enum_size(n)
     out = []
     for s in range(n + 1):
         out.extend(_terms_of_size(s))
     return out
-
-
-def enumerate_sp_by_closure(n: int) -> set[SpTerm]:
-    """Cross-check enumeration: close {empty, point} under binary chain
-    and antichain sums within the size bound.  Kept independent of the
-    grammar-driven ``enumerate_sp`` on purpose, but under the same size
-    cap."""
-    _check_enum_size(n)
-    terms = [EMPTY]
-    if n >= 1:
-        terms.append(POINT)
-    seen = set(terms)
-    i = 0
-    while i < len(terms):
-        t = terms[i]
-        for u in terms[: i + 1]:
-            if t.n_points + u.n_points <= n:
-                for made in (chain_sum((u, t)), chain_sum((t, u)), antichain_sum((t, u))):
-                    if made not in seen:
-                        seen.add(made)
-                        terms.append(made)
-        i += 1
-    return seen
 
 
 # -- Explicit relations -----------------------------------------------------

@@ -25,7 +25,6 @@ from spdesc import (
     chain_bit,
     diamond_free_shape,
     enumerate_sp,
-    enumerate_sp_by_closure,
     is_suborder,
     make_entry,
     make_ideal,
@@ -37,6 +36,8 @@ from spdesc import (
     validate,
     verify_equivalence,
 )
+
+from reference_enumeration import enumerate_sp_by_closure
 
 CATALOG = [
     ("C(*,*)",),

@@ -19,7 +19,11 @@ Core claims:
     - synthesize dispatches by obstruction shape, recurses on labels,
       keeps labels strictly decreasing, terminates, and is deterministic
     - degenerate inputs fail with clear errors, and a fold over the
-      pair budget raises ResourceLimitError
+      pair budget raises ResourceLimitError, as the width-6 sum does at
+      the default budget
+    - the mask fold gives the same pairs in the same order as a fold
+      over interned ideals, straight and crosswise, on every entry of
+      the seeded sets and of the pinned tables
     - every memo cache of the package is pinned by name, fills during
       synthesis and verification, and holds only pure results: cleared,
       it gives byte-identical tables and reports, and the intern tables
@@ -63,6 +67,7 @@ from spdesc import (
     validate,
     verify_equivalence,
 )
+from spdesc.terms import ANTICHAIN, CHAIN
 
 
 def T(s):
@@ -437,9 +442,15 @@ def test_seeded_random_sets_verify():
         assert report.equal, ([t.text for t in terms], report.summary())
 
 
+# A sum of five distinct components, 418 entries and 4,383 bits; adding a
+# sixth component carries the fold past its pair budget.
+WIDTH_5 = "A(*,C(*,*),C(*,*,*),C(*,A(*,*)),C(A(*,*),*))"
+WIDTH_6 = "A(*,C(*,*),C(*,*,*),C(*,A(*,*)),C(A(*,*),*),C(*,*,*,*))"
+
 # sha256 of ``to_json(synthesize(...))``, pinned so that any change to the
 # emitted tables shows up: the ten catalog sets, the width-4 antichain
-# sum, and three sets mixing chain sums with antichain sums.  The tables
+# sum, three sets mixing chain sums with antichain sums, and the width-5
+# sum.  The tables
 # are dominance-free; three of them lost dominated bits when pruning
 # moved into the product, and their hashes are those of the earlier
 # unpruned synthesis followed by a separate pass dropping dominated bits:
@@ -475,6 +486,7 @@ GOLDEN = {
     ("A(*,C(*,A(*,*)))", "C(*,A(*,*),*)", "C(*,*,*,*)"): (
         "e8b96f425bf02761e81669bb6f621295cb845cd429f491d5034de2e8ba5919f1"
     ),
+    (WIDTH_5,): "4fa2cece3137a89b7c6ffcb08d640d2fe2b624ba033e2f4c25125433a52e7085",
 }
 
 
@@ -482,6 +494,57 @@ GOLDEN = {
 def test_golden_describe_output(texts):
     text = to_json(synthesize([T(s) for s in texts]))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[texts]
+
+
+def ideal_fold(choices, target, *, crosswise=False):
+    """Reference for ``synth._fold``: the same pruned product over
+    interned ideals, each meet a ``make_ideal`` and each containment a
+    ``contains_ideal``, with no pair budget."""
+
+    def straight(big, small):
+        return contains_ideal(big[0], small[0]) and contains_ideal(big[1], small[1])
+
+    pairs = [(target, target)]
+    for options in choices:
+        options = [(lt, rt) for lt, rt in options if all(t.n_points >= 2 for t in lt + rt)]
+        stepped = dict.fromkeys(
+            (make_ideal(left.obstructions + lt), make_ideal(right.obstructions + rt))
+            for left, right in pairs
+            for lt, rt in options
+        )
+        pairs = synth._maximal(stepped, straight)
+    if crosswise:
+        pairs = synth._maximal(
+            pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
+        )
+    return pairs
+
+
+def test_mask_fold_matches_the_ideal_fold():
+    # Every entry of every table: the seeded sets, the catalog, the
+    # width-4 sum and the mixed sets, both folds of each entry read
+    # straight and crosswise.
+    sets = seeded_sets() + [[T(s) for s in texts] for texts in GOLDEN if texts != (WIDTH_5,)]
+    folds = 0
+    for terms in sets:
+        for entry in synthesize(terms).entries.values():
+            target = entry.ideal
+            chains = [synth._chain_rules(t) for t in target.obstructions if t.kind == CHAIN]
+            splits = [
+                c for t in target.obstructions if t.kind == ANTICHAIN for c in synth._split_rules(t)
+            ]
+            for choices in (chains, splits):
+                for crosswise in (False, True):
+                    got = synth._fold(choices, target, crosswise=crosswise)
+                    assert got == ideal_fold(choices, target, crosswise=crosswise), (terms, target)
+                    folds += 1
+    assert folds > 1000
+
+
+def test_width_6_sum_is_refused_at_the_default_budget():
+    assert synth.MAX_FOLD_PAIRS == 1024
+    with pytest.raises(ResourceLimitError, match="more than 1024 cell pairs"):
+        synthesize([T(WIDTH_6)])
 
 
 # Every memo cache of the package, as ``module.function``: a new memo, or

@@ -13,8 +13,8 @@ Core claims:
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
-      counts, the grammar and closure enumerations agree, and both
-      refuse sizes past their cap before building anything
+      counts, it agrees with the closure enumeration of the test
+      tree, and it refuses sizes past its cap before building anything
     - materialized relations are valid partial orders and contain no
       induced N
 """
@@ -34,7 +34,6 @@ from spdesc import (
     canonicalize,
     chain_sum,
     enumerate_sp,
-    enumerate_sp_by_closure,
     finest_antichain_rep,
     finest_chain_rep,
     is_suborder,
@@ -42,6 +41,8 @@ from spdesc import (
     to_relation,
 )
 from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH, antichain_splits, one_point_deletions
+
+from reference_enumeration import enumerate_sp_by_closure
 
 
 def T(s):
@@ -309,8 +310,6 @@ class TestEnumerate:
         levels = terms._terms_of_size.cache_info().currsize
         with pytest.raises(ResourceLimitError, match="cap of 11 points"):
             enumerate_sp(12)
-        with pytest.raises(ResourceLimitError, match="cap of 11 points"):
-            enumerate_sp_by_closure(12)
         assert terms._terms_of_size.cache_info().currsize == levels
 
 
