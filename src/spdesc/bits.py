@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 
 from .ideals import (
     EMPTY_ONLY_IDEAL,
@@ -329,8 +330,38 @@ def deserialize(doc: dict) -> StructuralDescription:
     return StructuralDescription(root, entries)
 
 
+def _json_list(items: list[str], indent: str) -> str:
+    """A list of encoded JSON values laid out as ``json.dumps(...,
+    indent=2)`` lays out a list opened at ``indent``."""
+    if not items:
+        return "[]"
+    return "[\n" + indent + "  " + (",\n" + indent + "  ").join(items) + "\n" + indent + "]"
+
+
+# The document's fixed layout at indent 2, one template per object.
+_BIT_JSON = (
+    '{\n          "shape": %s,\n          "labels": [\n            %s,\n'
+    '            %s\n          ]\n        }'
+)
+_ENTRY_JSON = '{\n      "ideal": %s,\n      "bits": %s\n    }'
+_DOCUMENT_JSON = '{\n  "root": %s,\n  "entries": %s\n}\n'
+
+
 def to_json(desc: StructuralDescription) -> str:
-    return json.dumps(serialize(desc), indent=2) + "\n"
+    """``json.dumps(serialize(desc), indent=2) + "\\n"``, written straight
+    from the table: the document's shape is fixed, and the standard
+    encoder takes its pure-Python path whenever it indents."""
+    entries = []
+    for key in sorted(desc.entries):
+        entry = desc.entries[key]
+        ideal = [_quote(t.text) for t in entry.ideal.obstructions]
+        bits = [
+            _BIT_JSON
+            % (_quote(bit.shape), _quote(_label_doc(bit.first)), _quote(_label_doc(bit.second)))
+            for bit in entry.bits
+        ]
+        entries.append(_ENTRY_JSON % (_json_list(ideal, "      "), _json_list(bits, "      ")))
+    return _DOCUMENT_JSON % (_quote(desc.root), _json_list(entries, "  "))
 
 
 def from_json(text: str) -> StructuralDescription:

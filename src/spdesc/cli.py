@@ -66,6 +66,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves the parser unchanged, and argparse reads the
+# terminal width and ``sys.stderr`` when it prints, not when it is built.
+_PARSER = _build_parser()
+
+
 def _cmd_describe(args) -> int:
     terms = load_obstruction_file(args.file)
     desc = synthesize(terms)
@@ -148,7 +153,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (

@@ -8,6 +8,8 @@ Core claims:
       and passes on synthesized tables
     - serialize/deserialize round-trips losslessly, deterministically,
       and rejects unknown fields and malformed documents
+    - to_json writes exactly what the standard encoder writes for the
+      serialized document at indent 2, empty lists included
 """
 
 import json
@@ -35,6 +37,7 @@ from spdesc import (
     to_json,
     validate,
 )
+from test_synth import GOLDEN, seeded_sets
 
 
 def T(s):
@@ -210,6 +213,20 @@ class TestSerialization:
         }
         with pytest.raises(DocumentFormatError):
             deserialize(doc)
+
+    def test_writer_matches_the_indenting_encoder(self):
+        tables = [synthesize([T(s) for s in texts]) for texts in sorted(GOLDEN)]
+        tables += [synthesize(terms) for terms in seeded_sets()]
+        for desc in tables:
+            assert to_json(desc) == json.dumps(serialize(desc), indent=2) + "\n"
+
+    def test_writer_lays_out_empty_lists(self):
+        no_bits = {"root": "C(*,*)", "entries": [{"ideal": ["C(*,*)"], "bits": []}]}
+        no_entries = {"root": "C(*,*)", "entries": []}
+        for doc in (no_bits, no_entries):
+            assert to_json(deserialize(doc)) == json.dumps(doc, indent=2) + "\n"
+        assert '"bits": []' in to_json(deserialize(no_bits))
+        assert '"entries": []' in to_json(deserialize(no_entries))
 
     def test_bad_json_text(self):
         with pytest.raises(DocumentFormatError):

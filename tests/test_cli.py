@@ -14,14 +14,25 @@ Core claims:
       pair budget, a removed flag, enumeration past its size cap and
       describing a flat sum too long for the interpreter's recursion
       limit
+    - the parser is built once and keeps no state between calls: a
+      describe repeated after a usage error, --help and a verify prints
+      the same, and main never rebuilds it
+    - ``python -m spdesc`` in a fresh interpreter prints what the
+      in-process main prints, and exits 2 on a bad flag
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from spdesc import from_json, synth
+from spdesc import cli, from_json, synth
 from spdesc.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -262,3 +273,50 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+class TestSharedParser:
+    @staticmethod
+    def run(argv, capsys):
+        """Exit code, stdout and stderr of one in-process call."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_no_state_carries_between_calls(self, obstruction_file, capsys):
+        path = obstruction_file("diamond.txt", "C(*,A(*,*),*)\n")
+        first = self.run(["describe", path], capsys)
+        assert first[0] == 0 and from_json(first[1]).root == "C(*,A(*,*),*)"
+        code, out, err = self.run(["describe", path, "--bogus"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --bogus" in err
+        code, out, _ = self.run(["--help"], capsys)
+        assert code == 0 and out.startswith("usage: spdesc")
+        code, out, _ = self.run(["verify", path, "--max-size", "5"], capsys)
+        assert code == 0 and out.strip().endswith("equal up to size 5")
+        assert self.run(["describe", path], capsys) == first
+
+    def test_main_does_not_rebuild_the_parser(self, obstruction_file, capsys, monkeypatch):
+        def rebuild():
+            raise AssertionError("the parser was rebuilt")
+
+        monkeypatch.setattr(cli, "_build_parser", rebuild)
+        path = obstruction_file("diamond.txt", "C(*,A(*,*),*)\n")
+        assert main(["describe", path]) == 0
+        assert from_json(capsys.readouterr().out).root == "C(*,A(*,*),*)"
+
+
+def test_module_entry_point_in_a_fresh_interpreter(obstruction_file, capsys):
+    path = obstruction_file("diamond.txt", "C(*,A(*,*),*)\n")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    command = [sys.executable, "-m", "spdesc", "describe", path]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert main(["describe", path]) == 0
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == capsys.readouterr().out
+    proc = subprocess.run(command + ["--bogus"], capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "unrecognized arguments: --bogus" in proc.stderr
