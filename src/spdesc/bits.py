@@ -205,9 +205,11 @@ def validate(desc: StructuralDescription) -> list[str]:
     messages, empty when the description is valid.
 
     Checked: the root and every label resolve; entry keys match their
-    ideals; bit shapes are the two-point chain/antichain shapes; the
-    reference graph is acyclic; every label ideal is strictly contained
-    in its entry's ideal.
+    ideals; every entry's ideal is nontrivial and proper, since the
+    improper ideal is not described and the void and empty-only ideals
+    are leaves that no bit set generates; bit shapes are the two-point
+    chain/antichain shapes; the reference graph is acyclic; every label
+    ideal is strictly contained in its entry's ideal.
     """
     problems = []
     if desc.root not in desc.entries:
@@ -216,6 +218,12 @@ def validate(desc: StructuralDescription) -> list[str]:
         entry = desc.entries[key]
         if entry.ideal.key != key:
             problems.append(f"entry {key!r}: key does not match its ideal {entry.ideal.key!r}")
+        ideal = entry.ideal
+        if not ideal.is_nontrivial_proper:
+            kind = "improper" if ideal.is_improper else "void" if ideal.is_void else "empty-only"
+            problems.append(
+                f"entry {key!r}: {kind} ideal; only nontrivial proper ideals have entries"
+            )
         for bit in entry.bits:
             if bit.shape not in (CHAIN_SHAPE, ANTICHAIN_SHAPE):
                 problems.append(f"entry {key!r}: unknown bit shape {bit.shape!r}")

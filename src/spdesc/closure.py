@@ -34,6 +34,27 @@ its layers, an antichain bit along a two-way split of its components
 cells.  Self-labeled halves recurse (a half equal to the whole term is
 skipped; such an application never builds anything new), ideal-labeled
 halves are obstruction checks.
+
+It prunes with one lemma: in every table, valid or not, an accepted sum
+has every part accepted, a part being a layer of a chain sum or a
+component of an antichain sum.  By induction on the size of the sum:
+a referenced ideal is suborder-closed, since embedding is transitive.
+Take a sum built by a bit; each part lies in one of its halves.  If
+that half came from a self cell, it is strictly smaller than the sum,
+so it is accepted and (being the part, or a sum with that part) by
+induction so is the part.  If it came from a static cell, the part lies
+in that cell's ideal too, and the same bit builds the part alone, with
+the empty order in the other cell: that cell admitted a half, so it is
+not void and admits the empty order.  Two steps apply the lemma:
+
+1. Part-first rejection: a sum's parts are decided (and cached) before
+   any of its splits is built, and one rejected part rejects the sum.
+2. Component admission per antichain bit: a static cell admits a
+   component iff its ideal has it, since the cell's side holds the
+   component as a suborder; after step 1 a self cell admits every
+   proper component.  A component that neither cell admits rules the
+   bit out, and one that only one cell admits goes wholly to that side,
+   so ``antichain_splits`` is given per-run bounds on the left side.
 """
 
 from __future__ import annotations
@@ -143,6 +164,28 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
             return decide(half)
         return member(desc.ideal_for(label.key), half)
 
+    def admits(label, comp: SpTerm, whole: SpTerm) -> bool:
+        # Whether a cell may hold the component on its side of a split.
+        if label is R:
+            return comp is not whole  # every part is accepted by then
+        return member(desc.ideal_for(label.key), comp)
+
+    def built_by(bit, t: SpTerm) -> bool:
+        if bit.shape == CHAIN_SHAPE:
+            parts = t.children if t.kind == CHAIN else (t,)
+            halves = ((chain_sum(parts[:i]), chain_sum(parts[i:])) for i in range(len(parts) + 1))
+        else:
+            # The left side takes every copy the second cell refuses and
+            # none that the first cell refuses.
+            halves = antichain_splits(
+                t,
+                copies=lambda comp, total: (
+                    0 if admits(bit.second, comp, t) else total,
+                    total if admits(bit.first, comp, t) else 0,
+                ),
+            )
+        return any(accepted(x, bit.first, t) and accepted(y, bit.second, t) for x, y in halves)
+
     def decide(t: SpTerm) -> bool:
         if t is EMPTY or t is POINT:
             return True
@@ -150,23 +193,13 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
         got = cache.get(ck)
         if got is not None:
             return got
-        # Recursion is well-founded: every self-labeled half is strictly
-        # smaller than t, so no in-progress sentinel is needed.  The splits
-        # of t's components are built once, at the first antichain bit,
-        # and shared by the others.
-        splits = None
-        result = False
-        for bit in desc.entries[key].bits:
-            if bit.shape == CHAIN_SHAPE:
-                parts = t.children if t.kind == CHAIN else (t,)
-                halves = ((chain_sum(parts[:i]), chain_sum(parts[i:])) for i in range(len(parts) + 1))
-            else:
-                if splits is None:
-                    splits = list(antichain_splits(t))
-                halves = splits
-            if any(accepted(x, bit.first, t) and accepted(y, bit.second, t) for x, y in halves):
-                result = True
-                break
+        # Recursion is well-founded: every part and every self-labeled
+        # half is strictly smaller than t, so no in-progress sentinel is
+        # needed.  Parts come first: an accepted sum has every part
+        # accepted.
+        result = all(map(decide, t.children)) and any(
+            built_by(bit, t) for bit in desc.entries[key].bits
+        )
         cache[ck] = result
         return result
 

@@ -335,19 +335,33 @@ def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
     return _mk(ANTICHAIN, tuple(comps))
 
 
-def antichain_splits(t: SpTerm, most: int | None = None):
+def antichain_splits(t: SpTerm, most: int | None = None, copies=None):
     """The two-sided splits of ``t``'s components (``t`` itself when it
     is not an antichain sum), lazily, as ``(left, right)`` antichain sums.
 
     Equal components are interchangeable, so there is one split per
     sub-multiset of the components.  Splits come in product order over
-    the runs of equal components: the empty left side first, the last
-    run varying fastest.  With ``most``, only the splits whose left side
-    has at most ``most`` points are listed; the others are never built.
+    the runs of equal components: the fewest copies on the left first,
+    the last run varying fastest.  With ``most``, only the splits whose
+    left side has at most ``most`` points are listed; the others are
+    never built.  With ``copies``, a function of a run's component and
+    its number of copies that returns the least and the most copies the
+    left side may take, only the splits within those bounds are listed;
+    a run whose least exceeds its most leaves no split at all.
     """
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
-    pick = [0] * len(runs)
     room = t.n_points if most is None else most  # points the left side may still take
+    low, high = [], []
+    for comp, total in runs:
+        lo, hi = copies(comp, total) if copies else (0, total)
+        if lo > hi:
+            return
+        low.append(lo)
+        high.append(hi)
+        room -= lo * comp.n_points
+    if room < 0:
+        return
+    pick = low.copy()
     while True:
         left, right = [], []
         for (comp, total), k in zip(runs, pick):
@@ -355,11 +369,11 @@ def antichain_splits(t: SpTerm, most: int | None = None):
             right += [comp] * (total - k)
         yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
         # Advance the last run that can take one more component; the runs
-        # after it start again from none.
+        # after it start again from their least.
         i = len(runs) - 1
-        while i >= 0 and (pick[i] == runs[i][1] or runs[i][0].n_points > room):
-            room += pick[i] * runs[i][0].n_points
-            pick[i] = 0
+        while i >= 0 and (pick[i] == high[i] or runs[i][0].n_points > room):
+            room += (pick[i] - low[i]) * runs[i][0].n_points
+            pick[i] = low[i]
             i -= 1
         if i < 0:
             return

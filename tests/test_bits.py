@@ -4,8 +4,9 @@ Core claims:
     - bits are two-point shapes with antichain labels stored unordered
     - rank is 0 exactly for empty bit sets and otherwise one more than
       the deepest referenced entry
-    - validate reports unresolved labels, non-strict labels and cycles,
-      and passes on synthesized tables
+    - validate reports unresolved labels, non-strict labels, cycles and
+      entries for the improper, void and empty-only ideals, and passes
+      on synthesized tables
     - serialize/deserialize round-trips losslessly, deterministically,
       and rejects unknown fields and malformed documents
     - to_json writes exactly what the standard encoder writes for the
@@ -136,6 +137,15 @@ class TestValidate:
     def test_missing_root(self):
         desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]), root="A(*,*)")
         assert any("root" in p for p in validate(desc))
+
+    @pytest.mark.parametrize(
+        "obstructions, kind", [((), "improper"), (("0",), "void"), (("*",), "empty-only")]
+    )
+    def test_degenerate_entry(self, obstructions, kind):
+        desc = entry_table((I(*obstructions), []))
+        assert validate(desc) == [
+            f"entry {desc.root!r}: {kind} ideal; only nontrivial proper ideals have entries"
+        ]
 
     def test_key_ideal_mismatch(self):
         entries = {"C(*,*,*)": make_entry(I("C(*,*)"), [R_ANTICHAIN_BIT])}

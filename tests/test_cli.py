@@ -8,7 +8,8 @@ Core claims:
     - member prints true/false, also on flat terms of 1,200 parts;
       enumerate lists canonical terms
     - show pretty-prints entries with ranks, and rejects an invalid
-      document with exit 2
+      document with exit 2, as verify --doc does, one with an entry for
+      the improper ideal among them
     - degenerate ideals and bad input (over-deep terms included) exit 2
       with a diagnostic on stderr, and so do synthesis over the fold's
       pair budget, a removed flag, enumeration past its size cap and
@@ -33,6 +34,10 @@ from spdesc import cli, from_json, synth
 from spdesc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+# A document whose one entry is the improper ideal of all SP orders.
+IMPROPER_DOC = '{"root": "", "entries": [{"ideal": [], "bits": []}]}'
 
 
 @pytest.fixture
@@ -152,6 +157,15 @@ class TestVerify:
         assert "invalid description" in captured.err
         assert "not strictly contained" in captured.err
 
+    def test_improper_entry_doc_exits_2(self, obstruction_file, tmp_path, capsys):
+        path = obstruction_file("empty.txt", "")
+        doc = tmp_path / "improper.json"
+        doc.write_text(IMPROPER_DOC)
+        assert main(["verify", path, "--max-size", "3", "--doc", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entry '': improper ideal" in captured.err
+
     def test_foreign_doc_exits_2(self, obstruction_file, tmp_path, capsys):
         path = obstruction_file("f.txt", "C(*,*)\n")
         other = obstruction_file("g.txt", "A(*,*)\n")
@@ -254,6 +268,14 @@ class TestShow:
         assert captured.out == ""
         assert "invalid description" in captured.err
         assert "root" in captured.err
+
+    def test_improper_entry_exits_2(self, tmp_path, capsys):
+        doc = tmp_path / "improper.json"
+        doc.write_text(IMPROPER_DOC)
+        assert main(["show", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entry '': improper ideal" in captured.err
 
     def test_unresolved_label_exits_2(self, tmp_path, capsys):
         doc = tmp_path / "dangling.json"

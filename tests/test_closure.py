@@ -10,7 +10,13 @@ Core claims:
     - ideal-labeled cells draw from the ideal, self cells from the set
       being built, and empty cells are fine
     - member_topdown agrees with generate_upto on every term within the
-      bound, without materializing the set
+      bound, without materializing the set, on synthesized tables and on
+      seeded hand-made tables that synthesis never emits (void,
+      empty-only and uncontained labels among them)
+    - in every table an accepted sum has every part accepted, the lemma
+      member_topdown prunes with
+    - on wide antichain sums member_topdown gives member's verdict on
+      the catalog tables and the wide table
 """
 
 import random
@@ -26,9 +32,11 @@ from spdesc import (
     ResourceLimitError,
     StructuralDescription,
     UnknownIdealKeyError,
+    antichain_bit,
     antichain_sum,
     chain_bit,
     chain_sum,
+    contains_ideal,
     enumerate_sp,
     generate_upto,
     make_entry,
@@ -39,6 +47,7 @@ from spdesc import (
     parse_term,
     synthesize,
 )
+from spdesc.terms import ANTICHAIN
 
 CATALOG = [
     ("C(*,*)",),
@@ -52,6 +61,8 @@ CATALOG = [
     ("C(*,A(*,*),*)",),
     ("C(*,A(*,*),*)", "A(*,*,*,*)"),
 ]
+
+WIDE = ("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))",)
 
 
 def T(s):
@@ -67,6 +78,26 @@ def random_sets(count, seed):
     pool = [t for t in enumerate_sp(5) if t.n_points >= 2]
     rng = random.Random(seed)
     return [rng.sample(pool, rng.randint(1, 3)) for _ in range(count)]
+
+
+def hand_made_tables(count, seed):
+    """Seeded tables that synthesis never emits: two or three entries,
+    each with 1-4 random chain and antichain bits whose labels are R, the
+    void leaf, the empty-only leaf or any entry of the table, contained
+    in the entry's ideal or not."""
+    rng = random.Random(seed)
+    sets = random_sets(3 * count, seed)
+    for i in range(count):
+        ideals = list({make_ideal(s): None for s in sets[3 * i : 3 * i + 3]})
+        labels = [R, R, IdealRef("0"), IdealRef("*")] + [IdealRef(ideal.key) for ideal in ideals]
+        entries = {}
+        for ideal in ideals:
+            bits = [
+                rng.choice((chain_bit, antichain_bit))(rng.choice(labels), rng.choice(labels))
+                for _ in range(rng.randint(1, 4))
+            ]
+            entries[ideal.key] = make_entry(ideal, bits)
+        yield StructuralDescription(ideals[0].key, entries)
 
 
 def worklist_generate(desc, key, n):
@@ -263,3 +294,79 @@ class TestMemberTopdown:
         desc = synthesize([T("C(*,*,*)")])
         with pytest.raises(UnknownIdealKeyError):
             member_topdown(desc, "A(*,*,*)", POINT)
+
+
+class TestPartFirstLemma:
+    """member_topdown rejects a sum with a rejected part before splitting
+    it, and sends a component that only one cell admits wholly to that
+    side; both rest on the lemma, which holds for any table."""
+
+    def test_hand_made_tables_cover_every_label_kind(self):
+        kinds = set()
+        for desc in hand_made_tables(60, 11):
+            for entry in desc.entries.values():
+                for bit in entry.bits:
+                    kinds.add(bit.shape)
+                    for label in (bit.first, bit.second):
+                        if label is R:
+                            kinds.add("R")
+                        elif label.key in ("0", "*"):
+                            kinds.add(label.key)
+                        elif contains_ideal(entry.ideal, desc.ideal_for(label.key)):
+                            kinds.add("contained")
+                        else:
+                            kinds.add("uncontained")
+        assert kinds == {"chain", "antichain", "R", "0", "*", "contained", "uncontained"}
+
+    def test_topdown_matches_generate_on_hand_made_tables(self):
+        terms = enumerate_sp(6)
+        for desc in hand_made_tables(60, 11):
+            for key in desc.entries:
+                gen = generate_upto(desc, key, 6).terms
+                for t in terms:
+                    assert member_topdown(desc, key, t) == (t in gen), (desc.entries[key], t)
+
+    def test_accepted_sums_have_accepted_parts(self):
+        tables = list(hand_made_tables(60, 11))
+        tables += [synthesize([T(s) for s in texts]) for texts in CATALOG]
+        sums = 0
+        for desc in tables:
+            for key in desc.entries:
+                gen = generate_upto(desc, key, 6).terms
+                for t in gen:
+                    assert all(part in gen for part in t.children), (desc.entries[key], t)
+                    sums += bool(t.children)
+        assert sums > 1000
+
+
+# Wide sums that are slow to reject when every split of every sum is tried.
+SLOW_SUMS = [
+    "A(*,*,*,*,C(A(*,*),*),C(*,*,*,*),C(A(*,*),*,A(*,*),*,*),C(*,*,*,A(*,*,*,*),*,*,*))",
+    "A(*,*,*,*,C(*,*),C(A(*,*),*),C(*,A(*,C(*,*))),C(A(*,*,*),*,*),"
+    "C(A(*,*,*),A(C(*,A(*,*)),C(*,*,*,*,*))))",
+    "A(*,*,*,*,*,*,*,*,C(*,*),C(A(*,*),*),C(*,*,*,*),C(*,*,*,A(*,C(*,*,A(*,*),A(*,*)))))",
+    "A(*,*,*,*,*,*,*,*,C(*,*),C(*,*),C(*,A(*,*)),C(A(*,C(*,*)),*))",
+    "A(*,*,*,*,*,*,*,*,*,*,*,*,C(*,*),C(*,*,*),C(*,*,*),C(*,*,*),C(*,A(*,C(*,*)),*))",
+    "A(*,*,*,*,*,*,*,C(A(*,*),*),C(A(*,*),*,*),C(A(*,*),A(*,*,*)))",
+]
+
+
+class TestWideSums:
+    def test_verdicts_match_member(self):
+        rng = random.Random("wide-sums")
+        pool = [t for t in enumerate_sp(5) if t.kind != ANTICHAIN]
+        sums = [T(s) for s in SLOW_SUMS]
+        for width in range(8, 13):
+            sums += [antichain_sum(rng.choice(pool) for _ in range(width)) for _ in range(2)]
+        # Sums of small components that the larger ideals accept.
+        sums += [antichain_sum([POINT] * k + [T("C(*,*)")] * (12 - k)) for k in (4, 8, 12)]
+        verdicts = set()
+        for texts in CATALOG + [WIDE]:
+            obstructions = [T(s) for s in texts]
+            desc = synthesize(obstructions)
+            ideal = make_ideal(obstructions)
+            for t in sums:
+                verdict = member_topdown(desc, desc.root, t)
+                assert verdict == member(ideal, t), (texts, t)
+                verdicts.add(verdict)
+        assert verdicts == {True, False}

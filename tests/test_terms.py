@@ -9,7 +9,8 @@ Core claims:
       and needs few recursive calls on two wide antichain sums of
       distinct components
     - antichain_splits lists each sub-multiset of the components once,
-      in product order, and its size bound only filters that list
+      in product order, and its size bound and per-run copy bounds only
+      filter that list
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
@@ -263,6 +264,44 @@ class TestAntichainSplits:
             for most in range(t.n_points + 1):
                 got = list(antichain_splits(t, most))
                 assert got == [s for s in want if s[0].n_points <= most], (t, most)
+
+
+    def test_copy_bounds_filter_the_product_order(self):
+        rng = random.Random("copy-bounds")
+        for t in enumerate_sp(8):
+            if t.kind != ANTICHAIN:
+                continue
+            want = _splits_by_masks(t)
+            for _ in range(4):
+                bounds = {}
+                for comp in finest_antichain_rep(t):
+                    total = finest_antichain_rep(t).count(comp)
+                    bounds[comp] = sorted(rng.choice(range(total + 1)) for _ in range(2))
+                if rng.random() < 0.2:  # a run that no split satisfies
+                    bounds[rng.choice(list(bounds))] = (1, 0)
+                most = rng.choice([None, *range(t.n_points + 1)])
+                got = list(antichain_splits(t, most, lambda comp, total: bounds[comp]))
+                assert got == [
+                    (left, right)
+                    for left, right in want
+                    if (most is None or left.n_points <= most)
+                    and all(
+                        lo <= finest_antichain_rep(left).count(comp) <= hi
+                        for comp, (lo, hi) in bounds.items()
+                    )
+                ], (t, bounds, most)
+
+    def test_a_run_without_room_builds_no_split(self, monkeypatch):
+        built = []
+        real = terms._sorted_antichain_sum
+        monkeypatch.setattr(
+            terms, "_sorted_antichain_sum", lambda comps: built.append(comps) or real(comps)
+        )
+        wide = antichain_sum([POINT] * 5 + [T("C(*,*)")] * 5)
+        copies = {POINT: (0, 5), T("C(*,*)"): (3, 2)}
+        assert list(antichain_splits(wide, copies=lambda comp, total: copies[comp])) == []
+        assert list(antichain_splits(wide, 5, lambda comp, total: (total, total))) == []
+        assert built == []
 
 
 class TestOnePointDeletions:
