@@ -4,130 +4,64 @@ Given a finite list of forbidden suborders, synthesize a finite
 recursive system of two-point labeled construction rules generating
 exactly the series-parallel posets avoiding them, and verify the result
 by exhaustive enumeration at desk scale.
+
+The package re-exports the documented surface below; every other name
+is imported from its module (``spdesc.terms``, ``spdesc.bits`` and so on).
 """
 
 from .terms import (
     EMPTY,
     POINT,
     ResourceLimitError,
-    SpTerm,
     TermParseError,
     antichain_sum,
-    canonicalize,
     chain_sum,
     enumerate_sp,
-    finest_antichain_rep,
-    finest_chain_rep,
     is_suborder,
     parse_term,
-    to_relation,
 )
-from .ideals import (
-    EMPTY_ONLY_IDEAL,
-    VOID_IDEAL,
-    Ideal,
-    contains_ideal,
-    load_obstruction_file,
-    make_ideal,
-    member,
-    members_upto,
-    parse_obstruction_lines,
-)
+from .ideals import load_obstruction_file, make_ideal, member
 from .bits import (
-    Bit,
     DocumentFormatError,
-    Entry,
-    IdealRef,
-    R,
-    R_ANTICHAIN_BIT,
-    R_CHAIN_BIT,
     StructuralDescription,
     UnknownIdealKeyError,
-    antichain_bit,
-    chain_bit,
-    deserialize,
     from_json,
-    make_entry,
     rank,
     serialize,
-    to_dot,
     to_json,
     validate,
 )
-from .closure import GeneratedSet, generate_upto, member_topdown
-from .synth import (
-    DegenerateIdealError,
-    StrictDecreaseError,
-    SynthesisError,
-    antichain_bit_set,
-    chain_bit_set_multi,
-    synthesize,
-)
-from .oracle import (
-    EquivalenceReport,
-    SizeGuardError,
-    avoiders_upto,
-    brute_embed,
-    diamond_free_shape,
-    verify_equivalence,
-)
+from .closure import generate_upto, member_topdown
+from .synth import SynthesisError, synthesize
+from .oracle import SizeGuardError, avoiders_upto, brute_embed, verify_equivalence
 
 __all__ = [
-    "Bit",
-    "DegenerateIdealError",
     "DocumentFormatError",
     "EMPTY",
-    "EMPTY_ONLY_IDEAL",
-    "Entry",
-    "EquivalenceReport",
-    "GeneratedSet",
-    "Ideal",
-    "IdealRef",
     "POINT",
-    "R",
-    "R_ANTICHAIN_BIT",
-    "R_CHAIN_BIT",
     "ResourceLimitError",
     "SizeGuardError",
-    "SpTerm",
-    "StrictDecreaseError",
     "StructuralDescription",
     "SynthesisError",
     "TermParseError",
     "UnknownIdealKeyError",
-    "VOID_IDEAL",
-    "antichain_bit",
-    "antichain_bit_set",
     "antichain_sum",
     "avoiders_upto",
     "brute_embed",
-    "canonicalize",
-    "chain_bit",
-    "chain_bit_set_multi",
     "chain_sum",
-    "contains_ideal",
-    "deserialize",
-    "diamond_free_shape",
     "enumerate_sp",
-    "finest_antichain_rep",
-    "finest_chain_rep",
     "from_json",
     "generate_upto",
     "is_suborder",
     "load_obstruction_file",
-    "make_entry",
     "make_ideal",
     "member",
     "member_topdown",
-    "members_upto",
-    "parse_obstruction_lines",
     "parse_term",
     "rank",
     "serialize",
     "synthesize",
-    "to_dot",
     "to_json",
-    "to_relation",
     "validate",
     "verify_equivalence",
 ]

@@ -105,10 +105,6 @@ def bit_sort_key(bit: Bit):
     return (0 if bit.shape == CHAIN_SHAPE else 1, label_sort_key(bit.first), label_sort_key(bit.second))
 
 
-R_CHAIN_BIT = chain_bit(R, R)
-R_ANTICHAIN_BIT = antichain_bit(R, R)
-
-
 @dataclass(frozen=True)
 class Entry:
     ideal: Ideal

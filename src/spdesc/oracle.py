@@ -179,14 +179,6 @@ class EquivalenceReport:
             f"{len(self.missing)} missing, {len(self.extra)} extra"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "equal": self.equal,
-            "missing": list(self.missing),
-            "extra": list(self.extra),
-        }
-
 
 def verify_equivalence(forbidden, desc: StructuralDescription, n: int) -> EquivalenceReport:
     """Exact set comparison at size bound n between what the description

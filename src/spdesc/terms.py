@@ -63,8 +63,8 @@ class TermParseError(ValueError):
 
 class SpTerm:
     """One canonical SP order.  Do not construct directly; use the
-    constructors below (``chain_sum``, ``antichain_sum``, ``parse_term``,
-    ``canonicalize``), which intern their results."""
+    constructors below (``chain_sum``, ``antichain_sum``, ``parse_term``),
+    which intern their results."""
 
     __slots__ = ("kind", "children", "n_points", "sort_key", "_text")
 
@@ -152,47 +152,20 @@ def antichain_sum(parts) -> SpTerm:
     return _mk(ANTICHAIN, tuple(flat))
 
 
-def canonicalize(raw) -> SpTerm:
-    """Canonical term for a possibly non-canonical tree.
-
-    ``raw`` is an ``SpTerm``, the string ``"0"`` or ``"*"``, or a pair
-    ``(tag, children)`` with tag ``"C"`` or ``"A"`` and children again
-    raw trees.  The result is order-isomorphic to the input; the map is
-    idempotent.  One-child sums collapse to the child and zero-child
-    sums to the empty term.
-    """
-    if isinstance(raw, SpTerm):
-        if not raw.children:
-            return raw
-        parts = [canonicalize(c) for c in raw.children]
-        return chain_sum(parts) if raw.kind == CHAIN else antichain_sum(parts)
-    if raw == "0":
-        return EMPTY
-    if raw == "*":
-        return POINT
-    tag, children = raw
-    parts = [canonicalize(c) for c in children]
-    if tag == "C":
-        return chain_sum(parts)
-    if tag == "A":
-        return antichain_sum(parts)
-    raise ValueError(f"unknown raw term tag {tag!r}")
-
-
 def _skip_ws(s: str, i: int) -> int:
     while i < len(s) and s[i].isspace():
         i += 1
     return i
 
 
-def _parse(s: str, i: int, depth: int = 0):
+def _parse(s: str, i: int, depth: int = 0) -> tuple[SpTerm, int]:
     if i >= len(s):
         raise TermParseError("unexpected end of input", i)
     ch = s[i]
     if ch == "0":
-        return "0", i + 1
+        return EMPTY, i + 1
     if ch == "*":
-        return "*", i + 1
+        return POINT, i + 1
     if ch in "CA":
         if depth >= MAX_TERM_DEPTH:
             raise TermParseError(f"sums nested more than {MAX_TERM_DEPTH} deep", i)
@@ -215,7 +188,7 @@ def _parse(s: str, i: int, depth: int = 0):
                 children.append(child)
                 j = _skip_ws(s, j)
             elif s[j] == ")":
-                return (ch, children), j + 1
+                return (chain_sum if ch == "C" else antichain_sum)(children), j + 1
             else:
                 raise TermParseError("expected ',' or ')'", j)
     raise TermParseError(f"unexpected character {ch!r}", i)
@@ -226,14 +199,15 @@ def parse_term(text: str) -> SpTerm:
 
     Whitespace between tokens is ignored.  Sums with fewer than two
     children, and sums nested more than ``MAX_TERM_DEPTH`` deep, are
-    rejected here rather than silently collapsed; the returned term is
-    canonical.
+    rejected here rather than silently collapsed.  Each sum is built
+    through ``chain_sum`` or ``antichain_sum`` as its ``)`` is read, so
+    the returned term is canonical.
     """
-    raw, end = _parse(text, _skip_ws(text, 0))
+    term, end = _parse(text, _skip_ws(text, 0))
     end = _skip_ws(text, end)
     if end != len(text):
         raise TermParseError("unexpected trailing input", end)
-    return canonicalize(raw)
+    return term
 
 
 def finest_chain_rep(t: SpTerm) -> list[SpTerm]:

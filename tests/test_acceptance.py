@@ -19,14 +19,10 @@ import time
 import pytest
 
 from spdesc import (
-    IdealRef,
     StructuralDescription,
     brute_embed,
-    chain_bit,
-    diamond_free_shape,
     enumerate_sp,
     is_suborder,
-    make_entry,
     make_ideal,
     member,
     parse_term,
@@ -36,6 +32,8 @@ from spdesc import (
     validate,
     verify_equivalence,
 )
+from spdesc.bits import IdealRef, chain_bit, make_entry
+from spdesc.oracle import diamond_free_shape
 
 from reference_enumeration import enumerate_sp_by_closure
 

@@ -1,16 +1,24 @@
 """Benchmark hook tests.
 
-Core claim:
+Core claims:
     - every function the benchmark's tracer times or counts is a public
       function of its module, so the tracer wraps it; a renamed or
       privatized function would otherwise read 0 on its per-layer metric
+    - every name the benchmark's workloads import from the package is in
+      ``spdesc.__all__`` and bound on the package, and ``__all__`` lists
+      each name once
 """
 
+import ast
 import importlib
 import types
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+import spdesc
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _tracing():
@@ -28,3 +36,21 @@ def test_timed_and_counted_names_are_wrapped_public_functions():
         module = importlib.import_module(f"spdesc.{layer}")
         assert name in dict(tracing.public_functions(module)), qual
         assert name not in tracing.UNWRAPPED.get(layer, ()), qual
+
+
+def test_workload_imports_are_package_exports():
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "spdesc"
+        for alias in node.names
+    ]
+    assert imported
+    for name in imported:
+        assert name in spdesc.__all__, name
+        assert hasattr(spdesc, name), name
+
+
+def test_package_exports_are_listed_once():
+    assert len(spdesc.__all__) == len(set(spdesc.__all__))

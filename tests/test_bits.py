@@ -19,25 +19,17 @@ import pytest
 
 from spdesc import (
     DocumentFormatError,
-    IdealRef,
-    R,
-    R_ANTICHAIN_BIT,
-    R_CHAIN_BIT,
     StructuralDescription,
-    antichain_bit,
-    chain_bit,
-    deserialize,
     from_json,
-    make_entry,
     make_ideal,
     parse_term,
     rank,
     serialize,
     synthesize,
-    to_dot,
     to_json,
     validate,
 )
+from spdesc.bits import R, IdealRef, antichain_bit, chain_bit, deserialize, make_entry, to_dot
 from test_synth import GOLDEN, seeded_sets
 
 
@@ -58,9 +50,10 @@ def entry_table(*pairs, root=None):
 
 class TestBitShapes:
     def test_self_bits(self):
-        assert R_CHAIN_BIT.shape == "chain"
-        assert R_ANTICHAIN_BIT.shape == "antichain"
-        assert R_CHAIN_BIT.first is R and R_CHAIN_BIT.second is R
+        chain, antichain = chain_bit(R, R), antichain_bit(R, R)
+        assert chain.shape == "chain" and antichain.shape == "antichain"
+        assert chain.first is R and chain.second is R
+        assert antichain.first is R and antichain.second is R
 
     def test_antichain_labels_unordered(self):
         a, b = IdealRef("C(*,*)"), IdealRef("A(*,*)")
@@ -75,7 +68,7 @@ class TestBitShapes:
 
 class TestRank:
     def test_self_bit_only_is_rank_1(self):
-        desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]))
+        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
         assert rank(desc, desc.root) == 1
 
     def test_empty_description_is_rank_0(self):
@@ -86,8 +79,8 @@ class TestRank:
         low = I("A(*,*)")
         high = I("C(*,A(*,*))")
         desc = entry_table(
-            (high, [chain_bit(R, IdealRef(low.key)), R_ANTICHAIN_BIT]),
-            (low, [R_CHAIN_BIT]),
+            (high, [chain_bit(R, IdealRef(low.key)), antichain_bit(R, R)]),
+            (low, [chain_bit(R, R)]),
         )
         assert rank(desc, low.key) == 1
         assert rank(desc, high.key) == 2
@@ -95,14 +88,14 @@ class TestRank:
     def test_unknown_key(self):
         from spdesc import UnknownIdealKeyError
 
-        desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]))
+        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
         with pytest.raises(UnknownIdealKeyError):
             rank(desc, "A(*,*)")
 
     def test_unknown_key_message(self):
         from spdesc import UnknownIdealKeyError
 
-        desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]))
+        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
         with pytest.raises(UnknownIdealKeyError) as exc:
             desc.ideal_for("A(*,*,*)")
         assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
@@ -135,7 +128,7 @@ class TestValidate:
         assert validate(desc) == []
 
     def test_missing_root(self):
-        desc = entry_table((I("C(*,*)"), [R_ANTICHAIN_BIT]), root="A(*,*)")
+        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]), root="A(*,*)")
         assert any("root" in p for p in validate(desc))
 
     @pytest.mark.parametrize(
@@ -148,7 +141,7 @@ class TestValidate:
         ]
 
     def test_key_ideal_mismatch(self):
-        entries = {"C(*,*,*)": make_entry(I("C(*,*)"), [R_ANTICHAIN_BIT])}
+        entries = {"C(*,*,*)": make_entry(I("C(*,*)"), [antichain_bit(R, R)])}
         desc = StructuralDescription("C(*,*,*)", entries)
         assert any("does not match" in p for p in validate(desc))
 

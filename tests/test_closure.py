@@ -27,26 +27,21 @@ from spdesc import closure
 from spdesc import (
     EMPTY,
     POINT,
-    IdealRef,
-    R,
     ResourceLimitError,
     StructuralDescription,
     UnknownIdealKeyError,
-    antichain_bit,
     antichain_sum,
-    chain_bit,
     chain_sum,
-    contains_ideal,
     enumerate_sp,
     generate_upto,
-    make_entry,
     make_ideal,
     member,
     member_topdown,
-    members_upto,
     parse_term,
     synthesize,
 )
+from spdesc.bits import R, IdealRef, antichain_bit, chain_bit, make_entry
+from spdesc.ideals import contains_ideal, members_upto
 from spdesc.terms import ANTICHAIN
 
 CATALOG = [

@@ -18,21 +18,23 @@ import pytest
 
 from spdesc import (
     EMPTY,
-    EMPTY_ONLY_IDEAL,
     POINT,
-    R,
-    VOID_IDEAL,
     ResourceLimitError,
     avoiders_upto,
-    contains_ideal,
     enumerate_sp,
     is_suborder,
     make_ideal,
     member,
-    members_upto,
-    parse_obstruction_lines,
     parse_term,
     synthesize,
+)
+from spdesc.bits import R
+from spdesc.ideals import (
+    EMPTY_ONLY_IDEAL,
+    VOID_IDEAL,
+    contains_ideal,
+    members_upto,
+    parse_obstruction_lines,
 )
 
 

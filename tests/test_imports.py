@@ -8,6 +8,8 @@ Core claims:
       ``functools.cache`` and can be read and cleared
     - no public name of a module is a ``functools`` cache wrapper, which
       the benchmark's tracer, wrapping plain functions only, would skip
+    - the README's Library example runs on the package's exports and
+      gives the results its comments state
 """
 
 import ast
@@ -19,6 +21,8 @@ from pathlib import Path
 import pytest
 
 import spdesc
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 MODULES = sorted(
     path for path in Path(spdesc.__file__).parent.glob("*.py") if path.name != "__init__.py"
@@ -45,8 +49,8 @@ def test_no_unused_imports(path):
 
 
 def test_unused_import_is_found():
-    source = "from .bits import R, R_CHAIN_BIT\nimport os.path\n\ndef f():\n    return R\n"
-    assert unused_imports(source) == ["R_CHAIN_BIT", "os"]
+    source = "from .bits import R, chain_bit\nimport os.path\n\ndef f():\n    return R\n"
+    assert unused_imports(source) == ["chain_bit", "os"]
 
 
 # The identity tables behind ``t is EMPTY``: clearing them would make
@@ -113,3 +117,36 @@ def test_public_cache_wrapper_is_found():
     module.members = functools.cache(lambda n: n)
     module._members = functools.cache(lambda n: n)
     assert public_cache_wrappers(module) == ["members"]
+
+
+def readme_library_block() -> str:
+    """The ``python`` code block of the README's Library section."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def stated_result(comment: str):
+    """The Python literal that a comment is, or that its first word is:
+    the result of the line it ends.  ``None`` for a comment that only
+    describes the line."""
+    for text in (comment, *comment.split()[:1]):
+        try:
+            return ast.literal_eval(text.strip())
+        except (ValueError, SyntaxError):
+            pass
+    return None
+
+
+def test_readme_library_example():
+    source = readme_library_block()
+    namespace = {}
+    exec(compile(source, str(README), "exec"), namespace)
+    checked = []
+    for line in source.splitlines():
+        code, _, comment = line.partition("#")
+        expected = stated_result(comment)
+        if expected is not None:
+            got = eval(code, namespace)
+            assert type(got) is type(expected) and got == expected, line
+            checked.append(expected)
+    assert checked == [[], True, "equal up to size 9"]

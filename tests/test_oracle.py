@@ -17,6 +17,7 @@ import inspect
 
 import pytest
 
+from spdesc import oracle
 from spdesc import (
     EMPTY,
     POINT,
@@ -24,17 +25,16 @@ from spdesc import (
     StructuralDescription,
     avoiders_upto,
     brute_embed,
-    diamond_free_shape,
     enumerate_sp,
     is_suborder,
-    make_entry,
     make_ideal,
     member,
     parse_term,
     synthesize,
     verify_equivalence,
 )
-from spdesc import oracle
+from spdesc.bits import make_entry
+from spdesc.oracle import diamond_free_shape
 
 DIAMOND = "C(*,A(*,*),*)"
 
@@ -166,16 +166,6 @@ class TestVerifyEquivalence:
             assert report.missing  # something the ideal needs is no longer built
         report = verify_equivalence(terms, synthesize(terms), 5)
         assert report.equal
-
-    def test_report_dict(self):
-        terms = [T("C(*,*,*)")]
-        report = verify_equivalence(terms, synthesize(terms), 4)
-        assert report.to_dict() == {
-            "bound": 4,
-            "equal": True,
-            "missing": [],
-            "extra": [],
-        }
 
 
 class TestDiamondFreeShape:

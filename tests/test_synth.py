@@ -39,34 +39,25 @@ from pathlib import Path
 import pytest
 
 import spdesc
+from spdesc import synth
 from spdesc import (
-    Bit,
-    DegenerateIdealError,
-    IdealRef,
-    R,
-    R_ANTICHAIN_BIT,
-    R_CHAIN_BIT,
     ResourceLimitError,
     StructuralDescription,
-    antichain_bit,
-    antichain_bit_set,
     antichain_sum,
-    chain_bit,
-    chain_bit_set_multi,
     chain_sum,
-    contains_ideal,
-    diamond_free_shape,
     enumerate_sp,
     generate_upto,
-    make_entry,
     make_ideal,
     parse_term,
-    synth,
     synthesize,
     to_json,
     validate,
     verify_equivalence,
 )
+from spdesc.bits import R, Bit, IdealRef, antichain_bit, chain_bit, make_entry
+from spdesc.ideals import contains_ideal
+from spdesc.oracle import diamond_free_shape
+from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_multi
 from spdesc.terms import ANTICHAIN, CHAIN
 
 
@@ -322,27 +313,27 @@ class TestMixedBitSet:
     def test_no_self_bits_added(self):
         desc = synthesize([T("C(*,*,*)"), T("A(*,*,*)")])
         root_bits = desc.entries[desc.root].bits
-        assert R_CHAIN_BIT not in root_bits
-        assert R_ANTICHAIN_BIT not in root_bits
+        assert chain_bit(R, R) not in root_bits
+        assert antichain_bit(R, R) not in root_bits
 
 
 class TestSynthesize:
     def test_forbidden_two_chain_gives_antichains(self):
         desc = synthesize([T("C(*,*)")])
-        assert desc.entries[desc.root].bits == (R_ANTICHAIN_BIT,)
+        assert desc.entries[desc.root].bits == (antichain_bit(R, R),)
         got = generate_upto(desc, desc.root, 4).terms
         assert sorted(t.text for t in got) == ["*", "0", "A(*,*)", "A(*,*,*)", "A(*,*,*,*)"]
 
     def test_forbidden_two_antichain_gives_chains(self):
         desc = synthesize([T("A(*,*)")])
-        assert desc.entries[desc.root].bits == (R_CHAIN_BIT,)
+        assert desc.entries[desc.root].bits == (chain_bit(R, R),)
         got = generate_upto(desc, desc.root, 4).terms
         assert sorted(t.text for t in got) == ["*", "0", "C(*,*)", "C(*,*,*)", "C(*,*,*,*)"]
 
     def test_no_forbidden_sum_gives_the_all_r_bit(self):
         for target in (I("C(*,*)"), I("A(*,*)"), I("C(*,*,*)", "A(*,*,*)")):
-            assert chain_bit_set_multi([], target) == [R_CHAIN_BIT]
-            assert antichain_bit_set([], target) == [R_ANTICHAIN_BIT]
+            assert chain_bit_set_multi([], target) == [chain_bit(R, R)]
+            assert antichain_bit_set([], target) == [antichain_bit(R, R)]
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateIdealError, match="improper"):

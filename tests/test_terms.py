@@ -1,8 +1,9 @@
 """Term algebra tests.
 
 Core claims:
-    - canonicalize flattens nested sums, drops empty parts, sorts
-      antichain components, and is idempotent
+    - the parser builds canonical terms: it flattens nested sums, drops
+      empty parts and sorts antichain components, exactly as chain_sum
+      and antichain_sum build the same tree
     - the term grammar parses and prints round-trip on all canonical
       terms up to size 8; malformed input fails with a position
     - the suborder test matches its case rules and is a partial order,
@@ -32,16 +33,21 @@ from spdesc import (
     TermParseError,
     antichain_sum,
     brute_embed,
-    canonicalize,
     chain_sum,
     enumerate_sp,
-    finest_antichain_rep,
-    finest_chain_rep,
     is_suborder,
     parse_term,
+)
+from spdesc.terms import (
+    ANTICHAIN,
+    CHAIN,
+    MAX_TERM_DEPTH,
+    antichain_splits,
+    finest_antichain_rep,
+    finest_chain_rep,
+    one_point_deletions,
     to_relation,
 )
-from spdesc.terms import ANTICHAIN, CHAIN, MAX_TERM_DEPTH, antichain_splits, one_point_deletions
 
 from reference_enumeration import enumerate_sp_by_closure
 
@@ -50,35 +56,62 @@ def T(s):
     return parse_term(s)
 
 
+def spelled(rng, depth):
+    """A random spelling of a term, with empty parts, same-kind nesting,
+    unsorted components and spaces, and the term built from the same
+    tree through ``chain_sum`` and ``antichain_sum``."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice([("*", POINT), ("*", POINT), ("0", EMPTY)])
+    tag = rng.choice("CA")
+    kids = [spelled(rng, depth - 1) for _ in range(rng.randint(2, 4))]
+
+    def pad():
+        return " " * rng.randint(0, 1)
+
+    text = tag + pad() + "(" + ",".join(pad() + k + pad() for k, _ in kids) + ")"
+    combine = chain_sum if tag == "C" else antichain_sum
+    return text, combine([t for _, t in kids])
+
+
 class TestCanonicalize:
+    """The canonical form as the parser builds it."""
+
     def test_chain_flattening(self):
-        assert canonicalize(("C", [("C", ["*", "*"]), "*"])) is T("C(*,*,*)")
+        got = T("C(C(*,*),*)")
+        assert got is T("C(*,*,*)")
+        assert got.children == (POINT, POINT, POINT)
 
     def test_antichain_flattening(self):
-        assert canonicalize(("A", ["*", ("A", ["*", "*"])])) is T("A(*,*,*)")
+        assert T("A(*,A(*,*))") is T("A(*,*,*)")
 
     def test_antichain_children_sorted_smaller_first(self):
-        got = canonicalize(("A", [("C", ["*", "*"]), "*"]))
+        got = T("A(C(*,*),*)")
         assert got.text == "A(*,C(*,*))"
         assert got.children == (POINT, T("C(*,*)"))
 
     def test_empty_parts_dropped_and_singletons_collapse(self):
-        assert canonicalize(("C", ["0", "*"])) is POINT
-        assert canonicalize(("A", ["0", "0"])) is EMPTY
-        assert canonicalize(("C", [("A", ["*", "*"]), "0"])) is T("A(*,*)")
+        assert T("C(0,*)") is POINT
+        assert T("A(0,0)") is EMPTY
+        assert T("C(A(*,*),0)") is T("A(*,*)")
 
     def test_idempotent_on_all_small_terms(self):
+        # The sum constructors leave a canonical term's parts as they are.
         for t in enumerate_sp(6):
-            assert canonicalize(t) is t
+            if t.kind == CHAIN:
+                assert chain_sum(t.children) is t
+            elif t.kind == ANTICHAIN:
+                assert antichain_sum(reversed(t.children)) is t
 
     def test_idempotent_on_raw_trees(self):
-        raws = [
-            ("C", [("C", ["*", ("A", ["*", ("A", ["*", "*"])])]), "*"]),
-            ("A", [("C", ["0", "*"]), ("A", ["*", "*"]), "0"]),
-        ]
-        for raw in raws:
-            once = canonicalize(raw)
-            assert canonicalize(once) is once
+        for text in ["C(C(*,A(*,A(*,*))),*)", "A(C(0,*),A(*,*),0)"]:
+            once = T(text)
+            assert T(once.text) is once
+
+    def test_seeded_spellings_parse_to_the_built_term(self):
+        rng = random.Random("spellings")
+        for _ in range(500):
+            text, built = spelled(rng, 4)
+            assert parse_term(text) is built, text
 
 
 class TestParsePrint:
