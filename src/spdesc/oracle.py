@@ -5,9 +5,7 @@ search, deliberately ignoring the structure the rest of the package
 exploits.  ``brute_embed`` is the arbiter for the fast suborder test,
 ``avoiders_upto`` the arbiter for ideal membership, and
 ``verify_equivalence`` compares a synthesized description's generated
-set against direct enumeration.  ``diamond_free_shape`` checks the
-closed-form characterization of diamond-free SP orders: an antichain
-sum of parts, each a forest stacked on an upside-down forest.
+set against direct enumeration.
 
 The relation work is done once per order, not once per (pattern, host)
 pair.  ``_relation_masks`` gives each point's at-or-above, at-or-below
@@ -32,15 +30,7 @@ from functools import cache
 
 from .bits import StructuralDescription
 from .closure import generate_upto
-from .terms import (
-    EMPTY,
-    SpTerm,
-    chain_sum,
-    enumerate_sp,
-    finest_antichain_rep,
-    finest_chain_rep,
-    to_relation,
-)
+from .terms import EMPTY, SpTerm, enumerate_sp, to_relation
 
 MAX_BRUTE_POINTS = 9
 
@@ -193,32 +183,3 @@ def verify_equivalence(forbidden, desc: StructuralDescription, n: int) -> Equiva
         missing=tuple(t.text for t in missing),
         extra=tuple(t.text for t in extra),
     )
-
-
-# -- Diamond-free characterization --------------------------------------------
-
-def _strict_sets_are_chains(t: SpTerm, above: bool) -> bool:
-    """True iff, for every point of ``t``, the points strictly below it
-    (strictly above it when ``above``) are pairwise comparable: ``t`` is
-    a forest, or an upside-down forest when ``above``.  Such a set is a
-    chain iff none of its members is incomparable to another; the point
-    itself, which the masks include, is incomparable to none of them."""
-    ups, downs, incomp = _relation_masks(t)[:3]
-    return not any(
-        incomp[x] & related for related in (ups if above else downs) for x in _bits(related)
-    )
-
-
-def diamond_free_shape(p: SpTerm) -> bool:
-    """True iff every component splits as an upside-down forest below a
-    forest (either half possibly empty), the split taken between layers.
-    Both halves are tested on the materialized relation."""
-    for comp in finest_antichain_rep(p):
-        parts = finest_chain_rep(comp)
-        if not any(
-            _strict_sets_are_chains(chain_sum(parts[:i]), above=True)
-            and _strict_sets_are_chains(chain_sum(parts[i:]), above=False)
-            for i in range(len(parts) + 1)
-        ):
-            return False
-    return True

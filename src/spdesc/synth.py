@@ -93,6 +93,14 @@ from .terms import (
 # budget turns an exhausted memory into a clear rejection.
 MAX_FOLD_PAIRS = 1 << 10
 
+# Most choices one fold may read.  A forbidden antichain sum of w
+# distinct components has 2^w - 2 two-sided splits, so width 6 reads 62;
+# a long flat sum ``A(*,...,*)`` of n points reads n - 1, and its table
+# has one entry per shorter flat sum, whose folds cost about n^3 pair
+# comparisons each.  The budget turns minutes of synthesis into a clear
+# rejection.
+MAX_FOLD_CHOICES = 1 << 7
+
 
 class SynthesisError(Exception):
     """Base class for synthesis failures."""
@@ -181,7 +189,12 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
         grow(t)
     whole = forbid(target.obstructions)
     pairs = [(whole, whole)]
-    for options in choices:
+    for read, options in enumerate(choices, 1):
+        if read > MAX_FOLD_CHOICES:
+            raise ResourceLimitError(
+                f"input too large: synthesis reads more than {MAX_FOLD_CHOICES}"
+                " choices for one entry"
+            )
         options = [(lt, rt) for lt, rt in options if all(t.n_points >= 2 for t in lt + rt)]
         terms = dict.fromkeys(t for lt, rt in options for t in lt + rt if t not in up)
         if terms:

@@ -48,6 +48,12 @@ MAX_ENUM_SIZE = 11
 # into a parse error instead of a crash.
 MAX_TERM_DEPTH = 100
 
+# Most sub-multisets of an antichain sum's components that the suborder
+# test codes as one bitset, one bit each: the sub-multisets of 22
+# distinct components, in ints of 512 KB.  A wider pattern raises
+# ``ResourceLimitError``.
+MAX_GROUP_CODES = 1 << 22
+
 
 class ResourceLimitError(RuntimeError):
     """An enumeration, closure or synthesis fold grew past its size cap."""
@@ -210,18 +216,9 @@ def parse_term(text: str) -> SpTerm:
     return term
 
 
-def finest_chain_rep(t: SpTerm) -> list[SpTerm]:
-    """Layers of a chain sum bottom to top (the anticomponents); a
-    non-chain term is its own single layer and the empty term has none."""
-    if t.kind == CHAIN:
-        return list(t.children)
-    if t is EMPTY:
-        return []
-    return [t]
-
-
 def finest_antichain_rep(t: SpTerm) -> list[SpTerm]:
-    """Components of an antichain sum; dual of ``finest_chain_rep``."""
+    """Components of an antichain sum; a term that is not one is its own
+    single component and the empty term has none."""
     if t.kind == ANTICHAIN:
         return list(t.children)
     if t is EMPTY:
@@ -236,11 +233,22 @@ def finest_antichain_rep(t: SpTerm) -> list[SpTerm]:
 # antichain sum only inside one component; an antichain sum is
 # anticonnected, so it embeds into a chain sum only inside one layer.
 # Chain into chain assigns consecutive blocks of the smaller order's
-# layers to layers of the larger one, in order.  Antichain into
-# antichain distributes components to components, a group of two or
-# more landing inside a single target component: each target component
-# in turn takes the left side of a split of the components not yet
-# placed, and only left sides that fit its point count are built.
+# layers to layers of the larger one, in order.
+#
+# Antichain into antichain: the components of the smaller order p are
+# connected, so each lands inside one component of the larger order q,
+# and p embeds iff its components can be split into groups that go into
+# distinct components of q.  A group is a sub-multiset of p's
+# components, coded in mixed radix over p's runs of equal components.
+# The signature of a component c of q lists the nonempty groups whose
+# antichain sum embeds into c.  It is down-closed, so a group is tested
+# only when every group one component smaller fits, and no group takes
+# more points than c has.  The verdict then depends only on the multiset
+# of q's signatures, each count capped at p's number of components, as
+# no more groups can be placed.  It is decided by growing the set of
+# sub-multisets placed so far, a bitset over their codes, one component
+# of q at a time.  Signatures and verdicts are memoized, so the many
+# halves of one sum that ``member_topdown`` tests share their work.
 
 
 def is_suborder(p: SpTerm, q: SpTerm) -> bool:
@@ -309,22 +317,20 @@ def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
     return _mk(ANTICHAIN, tuple(comps))
 
 
-def antichain_splits(t: SpTerm, most: int | None = None, copies=None):
+def antichain_splits(t: SpTerm, copies=None):
     """The two-sided splits of ``t``'s components (``t`` itself when it
     is not an antichain sum), lazily, as ``(left, right)`` antichain sums.
 
     Equal components are interchangeable, so there is one split per
     sub-multiset of the components.  Splits come in product order over
     the runs of equal components: the fewest copies on the left first,
-    the last run varying fastest.  With ``most``, only the splits whose
-    left side has at most ``most`` points are listed; the others are
-    never built.  With ``copies``, a function of a run's component and
-    its number of copies that returns the least and the most copies the
-    left side may take, only the splits within those bounds are listed;
-    a run whose least exceeds its most leaves no split at all.
+    the last run varying fastest.  With ``copies``, a function of a run's
+    component and its number of copies that returns the least and the
+    most copies the left side may take, only the splits within those
+    bounds are listed; a run whose least exceeds its most leaves no split
+    at all, and none is built.
     """
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
-    room = t.n_points if most is None else most  # points the left side may still take
     low, high = [], []
     for comp, total in runs:
         lo, hi = copies(comp, total) if copies else (0, total)
@@ -332,9 +338,6 @@ def antichain_splits(t: SpTerm, most: int | None = None, copies=None):
             return
         low.append(lo)
         high.append(hi)
-        room -= lo * comp.n_points
-    if room < 0:
-        return
     pick = low.copy()
     while True:
         left, right = [], []
@@ -345,48 +348,112 @@ def antichain_splits(t: SpTerm, most: int | None = None, copies=None):
         # Advance the last run that can take one more component; the runs
         # after it start again from their least.
         i = len(runs) - 1
-        while i >= 0 and (pick[i] == high[i] or runs[i][0].n_points > room):
-            room += (pick[i] - low[i]) * runs[i][0].n_points
+        while i >= 0 and pick[i] == high[i]:
             pick[i] = low[i]
             i -= 1
         if i < 0:
             return
         pick[i] += 1
-        room -= runs[i][0].n_points
+
+
+def _runs(p: SpTerm):
+    """p's runs of equal components as ``(component, copies, place)``,
+    ``place`` being the value of one copy in a sub-multiset's mixed-radix
+    code, and the number of codes."""
+    runs, codes = [], 1
+    for comp, equal in groupby(p.children):
+        total = len(list(equal))
+        runs.append((comp, total, codes))
+        codes *= total + 1
+    return runs, codes
+
+
+@cache
+def _signature(p: SpTerm, c: SpTerm) -> tuple[int, ...]:
+    """Codes of the nonempty groups of p's components whose antichain sum
+    embeds into the connected order ``c``, in increasing order."""
+    runs, _ = _runs(p)
+    fits = {0}
+    # One level per group size: (code, points, run indices, nondecreasing).
+    level = [(0, 0, ())]
+    while level:
+        grown = []
+        for code, points, idx in level:
+            for i in range(idx[-1] if idx else 0, len(runs)):
+                comp, total, place = runs[i]
+                if points + comp.n_points > c.n_points:
+                    break  # runs come in order of size
+                if code // place % (total + 1) == total:
+                    continue
+                new, bigger = code + place, idx + (i,)
+                if all(new - runs[j][2] in fits for j in set(idx)) and is_suborder(
+                    _sorted_antichain_sum([runs[j][0] for j in bigger]), c
+                ):
+                    fits.add(new)
+                    grown.append((new, points + comp.n_points, bigger))
+        level = grown
+    return tuple(sorted(fits))[1:]
+
+
+@cache
+def _placeable(p: SpTerm, hosts: tuple[tuple[tuple[int, ...], int], ...]) -> bool:
+    """Whether p's components split into groups that go into distinct
+    hosts, each group listed in its host's signature; ``hosts`` pairs
+    each distinct signature with its number of hosts."""
+    runs, codes = _runs(p)
+    if codes > MAX_GROUP_CODES:
+        raise ResourceLimitError(
+            f"input too large: an antichain sum with {codes} sub-multisets of"
+            f" components exceeds the cap of {MAX_GROUP_CODES}"
+        )
+    # Adding a group shifts a code by the group's code, after keeping only
+    # the codes with room for it in every run: those whose digit there is
+    # at most the run's copies less the group's.
+    masks = {}
+
+    def steps(g):
+        out = []
+        for _, total, place in runs:
+            k = g // place % (total + 1)
+            if k:
+                mask = masks.get((place, k))
+                if mask is None:
+                    # One block per value of the higher digits, by doubling.
+                    mask, width = (1 << (total - k + 1) * place) - 1, place * (total + 1)
+                    while width < codes:
+                        mask |= mask << width
+                        width *= 2
+                    mask = masks[place, k] = mask & ((1 << codes) - 1)
+                out.append((mask, k * place))
+        return out
+
+    full = 1 << (codes - 1)
+    placed = 1  # bit 0: nothing placed yet
+    for sig, count in hosts:
+        moves = [steps(g) for g in sig]
+        for _ in range(count):
+            grown = placed
+            for move in moves:
+                moved = placed
+                for mask, shift in move:
+                    moved = (moved & mask) << shift
+                grown |= moved
+            if grown & full:
+                return True
+            if grown == placed:
+                break  # more hosts of this signature place nothing new
+            placed = grown
+    return False
 
 
 def _antichain_in_antichain(p: SpTerm, qcomps) -> bool:
-    m = len(qcomps)
-    qtail = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        qtail[j] = qtail[j + 1] + qcomps[j].n_points
-    # memo[rest] = [j, found]: q's components are tried from the last one
-    # down, each taking the left side of a split of ``rest`` with the
-    # right side going above it.  Found, j is the highest that can; not
-    # yet found, j is the next to try.  The loop runs over q's components
-    # and only the right sides recurse, so the depth is at most p's
-    # number of components, and each component is tried once per rest.
-    memo = {}
-
-    # fits(rest, lo): can the components of ``rest`` go into components lo.. of q?
-    def fits(rest, lo):
-        if rest is EMPTY:
-            return True
-        state = memo.get(rest)
-        if state is None:
-            state = memo[rest] = [m - 1, False]
-        j, found = state
-        while not found and j >= lo:
-            found = rest.n_points <= qtail[j] and any(
-                left is not EMPTY and is_suborder(left, qcomps[j]) and fits(right, j + 1)
-                for left, right in antichain_splits(rest, qcomps[j].n_points)
-            )
-            if not found:
-                j -= 1
-        state[:] = j, found
-        return found and j >= lo
-
-    return fits(p, 0)
+    hosts = {}
+    for c, equal in groupby(qcomps):
+        sig = _signature(p, c)
+        if sig:
+            hosts[sig] = hosts.get(sig, 0) + len(list(equal))
+    most = len(p.children)
+    return _placeable(p, tuple(sorted((sig, min(n, most)) for sig, n in hosts.items())))
 
 
 def one_point_deletions(t: SpTerm) -> tuple[SpTerm, ...]:

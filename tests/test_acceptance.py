@@ -33,8 +33,8 @@ from spdesc import (
     verify_equivalence,
 )
 from spdesc.bits import IdealRef, chain_bit, make_entry
-from spdesc.oracle import diamond_free_shape
 
+from reference_diamond import diamond_free_shape
 from reference_enumeration import enumerate_sp_by_closure
 
 CATALOG = [

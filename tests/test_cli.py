@@ -212,19 +212,25 @@ class TestMember:
         assert "nested more than" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "obstruction, term",
+        "obstruction, term, verdict",
         [
-            ("C(A(*,*),*)", "C(" + ",".join("*" * 1200) + ")"),
-            ("A(C(*,*),C(*,*))", "A(" + ",".join("*" * 1200) + ")"),
+            ("C(A(*,*),*)", "C(" + ",".join("*" * 1200) + ")", "true"),
+            ("A(C(*,*),C(*,*))", "A(" + ",".join("*" * 1200) + ")", "true"),
+            ("A(" + ",".join("*" * 700) + ")", "A(" + ",".join("*" * 1200) + ")", "false"),
+            ("A(" + ",".join("*" * 700) + ")", "A(" + ",".join("*" * 600) + ")", "true"),
         ],
-        ids=["chain", "antichain"],
+        ids=["chain", "antichain", "flat-obstruction-inside", "flat-obstruction-too-large"],
     )
-    def test_long_flat_term_is_answered(self, obstruction_file, capsys, obstruction, term):
+    def test_long_flat_term_is_answered(
+        self, obstruction_file, capsys, obstruction, term, verdict
+    ):
         # The suborder test loops over the host's layers and components,
-        # so a flat host of 1,200 parts costs no stack depth.
+        # and places an antichain sum's components by a loop over the
+        # host's signatures, so flat sums of hundreds of parts cost no
+        # stack depth.
         path = obstruction_file("o.txt", obstruction + "\n")
         assert main(["member", path, term]) == 0
-        assert capsys.readouterr().out == "true\n"
+        assert capsys.readouterr().out == verdict + "\n"
 
 
 class TestEnumerate:

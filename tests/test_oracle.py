@@ -34,7 +34,8 @@ from spdesc import (
     verify_equivalence,
 )
 from spdesc.bits import make_entry
-from spdesc.oracle import diamond_free_shape
+
+from reference_diamond import diamond_free_shape
 
 DIAMOND = "C(*,A(*,*),*)"
 

@@ -56,9 +56,10 @@ from spdesc import (
 )
 from spdesc.bits import R, Bit, IdealRef, antichain_bit, chain_bit, make_entry
 from spdesc.ideals import contains_ideal
-from spdesc.oracle import diamond_free_shape
 from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_multi
 from spdesc.terms import ANTICHAIN, CHAIN
+
+from reference_diamond import diamond_free_shape
 
 
 def T(s):
@@ -546,7 +547,9 @@ CACHES = [
     "spdesc.oracle._relation_masks",
     "spdesc.terms._deletions",
     "spdesc.terms._embeds",
+    "spdesc.terms._placeable",
     "spdesc.terms._relation",
+    "spdesc.terms._signature",
     "spdesc.terms._terms_of_size",
 ]
 

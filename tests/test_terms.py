@@ -7,11 +7,13 @@ Core claims:
     - the term grammar parses and prints round-trip on all canonical
       terms up to size 8; malformed input fails with a position
     - the suborder test matches its case rules and is a partial order,
-      and needs few recursive calls on two wide antichain sums of
-      distinct components
+      needs few recursive calls on two wide antichain sums of distinct
+      components, matches the direct search of the test tree on
+      antichain sums past the oracle's size guard, answers flat sums of
+      hundreds of points, and refuses a pattern past its code budget
     - antichain_splits lists each sub-multiset of the components once,
-      in product order, and its size bound and per-run copy bounds only
-      filter that list
+      in product order, and its per-run copy bounds only filter that
+      list
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
@@ -38,17 +40,19 @@ from spdesc import (
     is_suborder,
     parse_term,
 )
+from spdesc.oracle import MAX_BRUTE_POINTS
 from spdesc.terms import (
     ANTICHAIN,
     CHAIN,
     MAX_TERM_DEPTH,
     antichain_splits,
     finest_antichain_rep,
-    finest_chain_rep,
     one_point_deletions,
     to_relation,
 )
 
+from reference_diamond import finest_chain_rep
+from reference_embedding import embeds
 from reference_enumeration import enumerate_sp_by_closure
 
 
@@ -251,6 +255,58 @@ class TestSuborder:
         assert is_suborder(antichain_sum(comps[1:20]), q)
         assert calls < 10_000
 
+    def test_matches_the_reference_search_on_large_hosts(self):
+        # Each host holds the pattern's components, some grown by a point
+        # and some pairs merged into one connected component, plus a few
+        # others; most hosts then lose a component, which may break the
+        # embedding.  Every host is past the oracle's size guard.
+        rng = random.Random("antichain-hosts")
+        small = [t for t in enumerate_sp(4) if t.kind != ANTICHAIN and t is not EMPTY]
+        larger = [t for t in enumerate_sp(5) if t.kind != ANTICHAIN and t is not EMPTY]
+        verdicts = []
+        while len(verdicts) < 1000:
+            comps = [rng.choice(small) for _ in range(rng.randint(2, 7))]
+            rest = comps.copy()
+            rng.shuffle(rest)
+            host = []
+            while rest:
+                x, pick = rest.pop(), rng.random()
+                if pick < 0.3 and rest:
+                    host.append(chain_sum([antichain_sum([x, rest.pop()]), rng.choice(small)]))
+                elif pick < 0.6:
+                    host.append(chain_sum([x, POINT] if rng.random() < 0.5 else [POINT, x]))
+                else:
+                    host.append(x)
+            host += [rng.choice(larger) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.8:
+                host.pop(rng.randrange(len(host)))
+            p, q = antichain_sum(comps), antichain_sum(host)
+            if q.kind == ANTICHAIN and q.n_points > MAX_BRUTE_POINTS:
+                verdict = is_suborder(p, q)
+                assert verdict == embeds(p, q), (p, q)
+                verdicts.append(verdict)
+        assert min(verdicts.count(True), verdicts.count(False)) > 100
+
+    def test_long_flat_antichains(self):
+        def flat(n):
+            return antichain_sum([POINT] * n)
+
+        assert is_suborder(flat(700), flat(1200))
+        assert not is_suborder(flat(700), flat(699))
+        vee = T("C(A(*,*),*)")  # holds two incomparable points
+        assert is_suborder(flat(700), antichain_sum([vee] * 350))
+        assert not is_suborder(flat(700), antichain_sum([vee] * 349 + [POINT]))
+
+    def test_pattern_past_the_code_budget_is_refused(self, monkeypatch):
+        # Eight equal components code nine sub-multisets, past a cap of 8.
+        monkeypatch.setattr(terms, "MAX_GROUP_CODES", 8)
+        terms._placeable.cache_clear()
+        two = T("C(*,*)")
+        nine = chain_sum([POINT] * 9)
+        with pytest.raises(ResourceLimitError, match="input too large"):
+            is_suborder(antichain_sum([two] * 8), antichain_sum([nine, nine]))
+        assert is_suborder(antichain_sum([two] * 7), antichain_sum([two] * 9))
+
 
 def _splits_by_masks(t):
     """Reference for antichain_splits: every subset of the component
@@ -278,10 +334,6 @@ class TestAntichainSplits:
             (T("A(*,*,C(*,*))"), EMPTY),
         ]
         assert list(antichain_splits(T("C(*,*)"))) == [(EMPTY, T("C(*,*)")), (T("C(*,*)"), EMPTY)]
-        assert list(antichain_splits(T("A(*,*,C(*,*))"), 1)) == [
-            (EMPTY, T("A(*,*,C(*,*))")),
-            (POINT, T("A(*,C(*,*))")),
-        ]
 
     def test_lazy(self):
         wide = antichain_sum([T("C(*,*)")] + [chain_sum([POINT] * k) for k in range(3, 40)])
@@ -292,11 +344,7 @@ class TestAntichainSplits:
         for t in enumerate_sp(8):
             if t.kind != ANTICHAIN:
                 continue
-            want = _splits_by_masks(t)
-            assert list(antichain_splits(t)) == want, t
-            for most in range(t.n_points + 1):
-                got = list(antichain_splits(t, most))
-                assert got == [s for s in want if s[0].n_points <= most], (t, most)
+            assert list(antichain_splits(t)) == _splits_by_masks(t), t
 
 
     def test_copy_bounds_filter_the_product_order(self):
@@ -312,17 +360,15 @@ class TestAntichainSplits:
                     bounds[comp] = sorted(rng.choice(range(total + 1)) for _ in range(2))
                 if rng.random() < 0.2:  # a run that no split satisfies
                     bounds[rng.choice(list(bounds))] = (1, 0)
-                most = rng.choice([None, *range(t.n_points + 1)])
-                got = list(antichain_splits(t, most, lambda comp, total: bounds[comp]))
+                got = list(antichain_splits(t, lambda comp, total: bounds[comp]))
                 assert got == [
                     (left, right)
                     for left, right in want
-                    if (most is None or left.n_points <= most)
-                    and all(
+                    if all(
                         lo <= finest_antichain_rep(left).count(comp) <= hi
                         for comp, (lo, hi) in bounds.items()
                     )
-                ], (t, bounds, most)
+                ], (t, bounds)
 
     def test_a_run_without_room_builds_no_split(self, monkeypatch):
         built = []
@@ -333,7 +379,6 @@ class TestAntichainSplits:
         wide = antichain_sum([POINT] * 5 + [T("C(*,*)")] * 5)
         copies = {POINT: (0, 5), T("C(*,*)"): (3, 2)}
         assert list(antichain_splits(wide, copies=lambda comp, total: copies[comp])) == []
-        assert list(antichain_splits(wide, 5, lambda comp, total: (total, total))) == []
         assert built == []
 
 
