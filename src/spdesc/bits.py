@@ -2,12 +2,14 @@
 
 A bit is a two-point labeled order, either a chain (bottom below top) or
 an antichain (two incomparable cells).  Each label is either ``R``, the
-self reference, or a reference to a lower ideal.  A structural
-description is a finite table mapping ideal keys to (ideal, bit set)
-entries; it reads as a recursive construction system: start from the
-empty and one point orders, and whenever a bit's cells can be filled
-(self-labeled cells from what has been built so far, ideal-labeled cells
-from the referenced ideal), the combined order is built too.
+self reference, or a lower ideal: the interned ``Ideal`` itself.  A
+structural description is a finite table mapping ideal keys to (ideal,
+bit set) entries; it reads as a recursive construction system: start
+from the empty and one point orders, and whenever a bit's cells can be
+filled (self-labeled cells from what has been built so far,
+ideal-labeled cells from the label's ideal), the combined order is
+built too.  Key strings appear only as the table's keys and in the JSON
+document, where a label is written as its ideal's key.
 
 Two leaf ideals may appear as labels without having entries of their
 own, because no bit system can generate them: the void ideal (key
@@ -33,12 +35,9 @@ from .terms import TermParseError, parse_term
 CHAIN_SHAPE = "chain"
 ANTICHAIN_SHAPE = "antichain"
 
-VOID_KEY = VOID_IDEAL.key  # "0"
-EMPTY_ONLY_KEY = EMPTY_ONLY_IDEAL.key  # "*"
-
 
 class UnknownIdealKeyError(KeyError):
-    """A label or lookup key does not resolve in the description."""
+    """A key names no entry of the description."""
 
     def __str__(self):
         return "unknown ideal key " + ", ".join(map(repr, self.args))
@@ -60,16 +59,6 @@ class _RLabel:
 R = _RLabel()
 
 
-@dataclass(frozen=True)
-class IdealRef:
-    """Reference to an ideal by its canonical key."""
-
-    key: str
-
-    def __repr__(self):
-        return f"IdealRef({self.key!r})"
-
-
 def label_sort_key(label):
     if label is R:
         return (0, "")
@@ -82,8 +71,8 @@ class Bit:
 
     ``first``/``second`` are bottom/top for a chain and the two unordered
     cells of an antichain; antichain labels are stored sorted.  Labels
-    are ``R``, ``IdealRef`` instances, or (during synthesis, before
-    registration) ``Ideal`` values directly.
+    are ``R`` or interned ``Ideal`` values, so two labels are equal iff
+    they are the same object.
     """
 
     shape: str
@@ -129,24 +118,6 @@ class StructuralDescription:
         self.root = root
         self.entries = dict(entries)
         self._topdown_cache: dict = {}
-
-    def ideal_for(self, key: str) -> Ideal:
-        """Resolve a key to its ideal; the two leaf keys resolve even
-        without entries."""
-        entry = self.entries.get(key)
-        if entry is not None:
-            return entry.ideal
-        if key == VOID_KEY:
-            return VOID_IDEAL
-        if key == EMPTY_ONLY_KEY:
-            return EMPTY_ONLY_IDEAL
-        raise UnknownIdealKeyError(key)
-
-    def bits_for(self, key: str) -> tuple[Bit, ...]:
-        entry = self.entries.get(key)
-        if entry is None:
-            raise UnknownIdealKeyError(key)
-        return entry.bits
 
     def __eq__(self, other):
         if not isinstance(other, StructuralDescription):
@@ -200,12 +171,13 @@ def validate(desc: StructuralDescription) -> list[str]:
     """Check the description invariants; returns a list of violation
     messages, empty when the description is valid.
 
-    Checked: the root and every label resolve; entry keys match their
-    ideals; every entry's ideal is nontrivial and proper, since the
-    improper ideal is not described and the void and empty-only ideals
-    are leaves that no bit set generates; bit shapes are the two-point
-    chain/antichain shapes; the reference graph is acyclic; every label
-    ideal is strictly contained in its entry's ideal.
+    Checked: the root has an entry, and every label has one or is one of
+    the two leaf ideals; entry keys match their ideals; every entry's
+    ideal is nontrivial and proper, since the improper ideal is not
+    described and the void and empty-only ideals are leaves that no bit
+    set generates; bit shapes are the two-point chain/antichain shapes;
+    the reference graph is acyclic; every label ideal is strictly
+    contained in its entry's ideal.
     """
     problems = []
     if desc.root not in desc.entries:
@@ -227,12 +199,10 @@ def validate(desc: StructuralDescription) -> list[str]:
             for label in (bit.first, bit.second):
                 if label is R:
                     continue
-                try:
-                    ref_ideal = desc.ideal_for(label.key)
-                except UnknownIdealKeyError:
+                if label.key not in desc.entries and label not in (VOID_IDEAL, EMPTY_ONLY_IDEAL):
                     problems.append(f"entry {key!r}: label {label.key!r} does not resolve")
                     continue
-                if ref_ideal is entry.ideal or not contains_ideal(entry.ideal, ref_ideal):
+                if label is entry.ideal or not contains_ideal(entry.ideal, label):
                     problems.append(
                         f"entry {key!r}: label {label.key!r} is not strictly contained"
                         " in the entry ideal"
@@ -259,7 +229,8 @@ def validate(desc: StructuralDescription) -> list[str]:
     return problems
 
 
-def _label_doc(label) -> str:
+def label_doc(label) -> str:
+    """A label as the document writes it: ``R`` or its ideal's key."""
     return "R" if label is R else label.key
 
 
@@ -269,7 +240,7 @@ def serialize(desc: StructuralDescription) -> dict:
     for key in sorted(desc.entries):
         entry = desc.entries[key]
         bits_doc = [
-            {"shape": bit.shape, "labels": [_label_doc(bit.first), _label_doc(bit.second)]}
+            {"shape": bit.shape, "labels": [label_doc(bit.first), label_doc(bit.second)]}
             for bit in entry.bits
         ]
         entries_doc.append(
@@ -289,29 +260,55 @@ def _require_fields(mapping, fields, what):
         raise DocumentFormatError(f"{what} is missing fields: {sorted(missing)}")
 
 
+def _parse_ideal(texts, what) -> Ideal:
+    try:
+        return make_ideal(parse_term(s) for s in texts)
+    except TermParseError as exc:
+        raise DocumentFormatError(f"bad {what}: {exc}") from exc
+
+
 def deserialize(doc: dict) -> StructuralDescription:
     """Rebuild a description from a document; rejects unknown fields and
-    malformed terms, shapes or labels."""
+    malformed terms, shapes or labels.
+
+    Every entry's ideal is parsed first, so a label naming an entry is
+    that entry's ideal; only a label naming no entry is parsed, and it
+    must be its ideal's canonical key."""
     _require_fields(doc, ("root", "entries"), "document")
     root = doc["root"]
     if not isinstance(root, str):
         raise DocumentFormatError("root must be a key string")
     if not isinstance(doc["entries"], list):
         raise DocumentFormatError("entries must be a list")
-    entries: dict[str, Entry] = {}
+    ideals: dict[str, Ideal] = {}
+    parsed = []
     for entry_doc in doc["entries"]:
         _require_fields(entry_doc, ("ideal", "bits"), "entry")
         terms_doc = entry_doc["ideal"]
         if not isinstance(terms_doc, list) or not all(isinstance(s, str) for s in terms_doc):
             raise DocumentFormatError("entry ideal must be a list of term strings")
-        try:
-            ideal = make_ideal(parse_term(s) for s in terms_doc)
-        except TermParseError as exc:
-            raise DocumentFormatError(f"bad obstruction term: {exc}") from exc
+        ideal = _parse_ideal(terms_doc, "obstruction term")
         if not isinstance(entry_doc["bits"], list):
             raise DocumentFormatError("entry bits must be a list")
+        if ideal.key in ideals:
+            raise DocumentFormatError(f"duplicate entry for ideal {ideal.key!r}")
+        ideals[ideal.key] = ideal
+        parsed.append((ideal, entry_doc["bits"]))
+
+    def label(s: str):
+        if s == "R":
+            return R
+        got = ideals.get(s)
+        if got is None:
+            got = _parse_ideal(s.split("|"), "label")
+            if got.key != s:
+                raise DocumentFormatError(f"label {s!r} is not a canonical ideal key")
+        return got
+
+    entries: dict[str, Entry] = {}
+    for ideal, bits_doc in parsed:
         bits = []
-        for bit_doc in entry_doc["bits"]:
+        for bit_doc in bits_doc:
             _require_fields(bit_doc, ("shape", "labels"), "bit")
             shape = bit_doc["shape"]
             if shape not in (CHAIN_SHAPE, ANTICHAIN_SHAPE):
@@ -323,13 +320,11 @@ def deserialize(doc: dict) -> StructuralDescription:
                 or not all(isinstance(s, str) for s in labels_doc)
             ):
                 raise DocumentFormatError("bit labels must be a pair of strings")
-            labels = [R if s == "R" else IdealRef(s) for s in labels_doc]
+            first, second = label(labels_doc[0]), label(labels_doc[1])
             if shape == CHAIN_SHAPE:
-                bits.append(chain_bit(labels[0], labels[1]))
+                bits.append(chain_bit(first, second))
             else:
-                bits.append(antichain_bit(labels[0], labels[1]))
-        if ideal.key in entries:
-            raise DocumentFormatError(f"duplicate entry for ideal {ideal.key!r}")
+                bits.append(antichain_bit(first, second))
         entries[ideal.key] = make_entry(ideal, bits)
     return StructuralDescription(root, entries)
 
@@ -361,7 +356,7 @@ def to_json(desc: StructuralDescription) -> str:
         ideal = [_quote(t.text) for t in entry.ideal.obstructions]
         bits = [
             _BIT_JSON
-            % (_quote(bit.shape), _quote(_label_doc(bit.first)), _quote(_label_doc(bit.second)))
+            % (_quote(bit.shape), _quote(label_doc(bit.first)), _quote(label_doc(bit.second)))
             for bit in entry.bits
         ]
         entries.append(_ENTRY_JSON % (_json_list(ideal, "      "), _json_list(bits, "      ")))

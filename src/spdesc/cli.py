@@ -16,9 +16,9 @@ import sys
 
 from .bits import (
     DocumentFormatError,
-    R,
     UnknownIdealKeyError,
     from_json,
+    label_doc,
     rank,
     to_dot,
     to_json,
@@ -137,9 +137,7 @@ def _cmd_show(args) -> int:
         entry = desc.entries[key]
         print(f"entry {key}  (rank {rank(desc, key)})")
         for bit in entry.bits:
-            first = "R" if bit.first is R else bit.first.key
-            second = "R" if bit.second is R else bit.second.key
-            print(f"  {bit.shape}: {first} | {second}")
+            print(f"  {bit.shape}: {label_doc(bit.first)} | {label_doc(bit.second)}")
     return 0
 
 

@@ -6,7 +6,7 @@ point orders and closed under every bit.  Applying a chain bit with
 cells ``x``/``y`` stacks any member of cell ``x`` under any member of
 cell ``y``; an antichain bit places them side by side.  A self-labeled
 cell draws from the set built so far; an ideal-labeled cell draws from
-the referenced ideal's members within the bound (possibly none).  Cells
+the label's own members within the bound (possibly none).  Cells
 may be filled with the empty order, so a two point bit also contributes
 each cell's members on their own.
 
@@ -33,12 +33,12 @@ its layers, an antichain bit along a two-way split of its components
 (``terms.antichain_splits``) - with both halves accepted by their
 cells.  Self-labeled halves recurse (a half equal to the whole term is
 skipped; such an application never builds anything new), ideal-labeled
-halves are obstruction checks.
+halves are obstruction checks against the label.
 
 It prunes with one lemma: in every table, valid or not, an accepted sum
 has every part accepted, a part being a layer of a chain sum or a
 component of an antichain sum.  By induction on the size of the sum:
-a referenced ideal is suborder-closed, since embedding is transitive.
+a label's ideal is suborder-closed, since embedding is transitive.
 Take a sum built by a bit; each part lies in one of its halves.  If
 that half came from a self cell, it is strictly smaller than the sum,
 so it is accepted and (being the part, or a sum with that part) by
@@ -62,7 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bits import CHAIN_SHAPE, R, StructuralDescription, UnknownIdealKeyError
-from .ideals import member, members_upto
+from .ideals import Ideal, member, members_upto
 from .terms import (
     EMPTY,
     POINT,
@@ -90,21 +90,24 @@ class GeneratedSet:
 
 def _cells(desc: StructuralDescription, key: str, n: int):
     """Per bit: (is_chain, cell1, cell2); a cell is None for the
-    self-reference (dynamic) or the referenced ideal's members of size
-    <= n bucketed by size (static).  Cells with the same label share one
+    self-reference (dynamic) or the label's members of size <= n
+    bucketed by size (static).  Cells with the same label share one
     bucket list."""
-    buckets: dict[str, list[list[SpTerm]]] = {}
+    entry = desc.entries.get(key)
+    if entry is None:
+        raise UnknownIdealKeyError(key)
+    buckets: dict[Ideal, list[list[SpTerm]]] = {}
     prepped = []
-    for bit in desc.bits_for(key):
+    for bit in entry.bits:
         cells = []
         for label in (bit.first, bit.second):
             if label is R:
                 cells.append(None)
                 continue
-            got = buckets.get(label.key)
+            got = buckets.get(label)
             if got is None:
-                got = buckets[label.key] = [[] for _ in range(n + 1)]
-                for t in members_upto(desc.ideal_for(label.key), n):
+                got = buckets[label] = [[] for _ in range(n + 1)]
+                for t in members_upto(label, n):
                     got[t.n_points].append(t)
             cells.append(got)
         prepped.append((bit.shape == CHAIN_SHAPE, cells[0], cells[1]))
@@ -162,13 +165,13 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
             if half is whole:
                 return False  # circular: would rebuild the term from itself
             return decide(half)
-        return member(desc.ideal_for(label.key), half)
+        return member(label, half)
 
     def admits(label, comp: SpTerm, whole: SpTerm) -> bool:
         # Whether a cell may hold the component on its side of a split.
         if label is R:
             return comp is not whole  # every part is accepted by then
-        return member(desc.ideal_for(label.key), comp)
+        return member(label, comp)
 
     def built_by(bit, t: SpTerm) -> bool:
         if bit.shape == CHAIN_SHAPE:

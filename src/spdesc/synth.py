@@ -66,15 +66,7 @@ pairs carried, which ``MAX_FOLD_PAIRS`` bounds, can fall.
 
 from __future__ import annotations
 
-from .bits import (
-    Bit,
-    IdealRef,
-    R,
-    StructuralDescription,
-    antichain_bit,
-    chain_bit,
-    make_entry,
-)
+from .bits import Bit, R, StructuralDescription, antichain_bit, chain_bit, make_entry
 from .ideals import Ideal, contains_ideal, make_ideal
 from .terms import (
     ANTICHAIN,
@@ -286,9 +278,10 @@ def antichain_bit_set(ants, target: Ideal) -> list[Bit]:
 def synthesize(forbidden) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
-    The root entry gets the dispatch's bit set; every ideal label is
-    then synthesized recursively (memoized by ideal key).  Labels always
-    shrink strictly, so the recursion bottoms out; a violation raises
+    The root entry gets the dispatch's bit set; every distinct ideal
+    label is then synthesized recursively (memoized by ideal key) and
+    stays in the bits as the ideal itself.  Labels always shrink
+    strictly, so the recursion bottoms out; a violation raises
     ``StrictDecreaseError`` before recursing, since it would mean the
     construction is wrong.
     """
@@ -312,20 +305,14 @@ def synthesize(forbidden) -> StructuralDescription:
         chains = [t for t in target.obstructions if t.kind == CHAIN]
         ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
         bits = chain_bit_set_multi(chains, target) + antichain_bit_set(ants, target)
-        registered = []
-        for bit in bits:
-            labels = []
-            for label in (bit.first, bit.second):
-                if label is not R:
-                    if label is target or not contains_ideal(target, label):
-                        raise StrictDecreaseError(
-                            f"label {label.key!r} is not strictly contained in {target.key!r}"
-                        )
-                    build(label)
-                    label = IdealRef(label.key)
-                labels.append(label)
-            registered.append(Bit(bit.shape, labels[0], labels[1]))
-        entries[target.key] = make_entry(target, registered)
+        for label in dict.fromkeys(x for bit in bits for x in (bit.first, bit.second)):
+            if label is not R:
+                if label is target or not contains_ideal(target, label):
+                    raise StrictDecreaseError(
+                        f"label {label.key!r} is not strictly contained in {target.key!r}"
+                    )
+                build(label)
+        entries[target.key] = make_entry(target, bits)
 
     build(ideal)
     return StructuralDescription(ideal.key, entries)

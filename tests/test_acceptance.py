@@ -32,7 +32,7 @@ from spdesc import (
     validate,
     verify_equivalence,
 )
-from spdesc.bits import IdealRef, chain_bit, make_entry
+from spdesc.bits import chain_bit, make_entry
 
 from reference_diamond import diamond_free_shape
 from reference_enumeration import enumerate_sp_by_closure
@@ -174,7 +174,8 @@ def test_criterion_7_mixed_case_regression():
     # the root ideal: one chain bit with two C(*,*)-free cells.
     root = make_ideal(forbidden)
     entries = dict(synthesize([parse_term("C(*,*)")]).entries)
-    entries[root.key] = make_entry(root, [chain_bit(IdealRef("C(*,*)"), IdealRef("C(*,*)"))])
+    low = make_ideal([parse_term("C(*,*)")])
+    entries[root.key] = make_entry(root, [chain_bit(low, low)])
     broken = verify_equivalence(forbidden, StructuralDescription(root.key, entries), 9)
     ok = fixed.equal and not broken.equal and "A(*,*)" in broken.extra
     _announce(

@@ -4,11 +4,15 @@ Core claims:
     - bits are two-point shapes with antichain labels stored unordered
     - rank is 0 exactly for empty bit sets and otherwise one more than
       the deepest referenced entry
-    - validate reports unresolved labels, non-strict labels, cycles and
-      entries for the improper, void and empty-only ideals, and passes
-      on synthesized tables
+    - validate reports unresolved labels (the improper ideal among
+      them), non-strict labels, cycles and entries for the improper,
+      void and empty-only ideals, and passes on synthesized tables
+    - every label other than R is the interned ideal of its entry, or
+      one of the two leaf ideals, in synthesized and reloaded tables
     - serialize/deserialize round-trips losslessly, deterministically,
-      and rejects unknown fields and malformed documents
+      and rejects unknown fields and malformed documents; a label naming
+      no entry must be its ideal's canonical key, and the leaf labels
+      ``0`` and ``*`` load as the leaf ideals
     - to_json writes exactly what the standard encoder writes for the
       serialized document at indent 2, empty lists included
 """
@@ -29,7 +33,8 @@ from spdesc import (
     to_json,
     validate,
 )
-from spdesc.bits import R, IdealRef, antichain_bit, chain_bit, deserialize, make_entry, to_dot
+from spdesc.bits import R, antichain_bit, chain_bit, deserialize, make_entry, to_dot
+from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL
 from test_synth import GOLDEN, seeded_sets
 
 
@@ -56,13 +61,13 @@ class TestBitShapes:
         assert antichain.first is R and antichain.second is R
 
     def test_antichain_labels_unordered(self):
-        a, b = IdealRef("C(*,*)"), IdealRef("A(*,*)")
+        a, b = I("C(*,*)"), I("A(*,*)")
         assert antichain_bit(a, b) == antichain_bit(b, a)
         assert antichain_bit(a, R) == antichain_bit(R, a)
         assert antichain_bit(R, a).first is R
 
     def test_chain_labels_ordered(self):
-        a, b = IdealRef("C(*,*)"), IdealRef("A(*,*)")
+        a, b = I("C(*,*)"), I("A(*,*)")
         assert chain_bit(a, b) != chain_bit(b, a)
 
 
@@ -79,7 +84,7 @@ class TestRank:
         low = I("A(*,*)")
         high = I("C(*,A(*,*))")
         desc = entry_table(
-            (high, [chain_bit(R, IdealRef(low.key)), antichain_bit(R, R)]),
+            (high, [chain_bit(R, low), antichain_bit(R, R)]),
             (low, [chain_bit(R, R)]),
         )
         assert rank(desc, low.key) == 1
@@ -97,7 +102,7 @@ class TestRank:
 
         desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
         with pytest.raises(UnknownIdealKeyError) as exc:
-            desc.ideal_for("A(*,*,*)")
+            rank(desc, "A(*,*,*)")
         assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
 
     def test_rank_bounded_by_entry_count(self):
@@ -113,19 +118,25 @@ class TestValidate:
 
     def test_self_label_is_a_strict_decrease_violation(self):
         ideal = I("C(*,*)")
-        desc = entry_table((ideal, [chain_bit(IdealRef(ideal.key), R)]))
+        desc = entry_table((ideal, [chain_bit(ideal, R)]))
         problems = validate(desc)
         assert any("not strictly contained" in p for p in problems)
         assert any("cycle" in p for p in problems)
 
     def test_missing_key_is_a_resolution_violation(self):
-        desc = entry_table((I("C(*,*)"), [chain_bit(IdealRef("A(*,*,*)"), R)]))
+        desc = entry_table((I("C(*,*)"), [chain_bit(I("A(*,*,*)"), R)]))
         problems = validate(desc)
         assert any("does not resolve" in p for p in problems)
 
     def test_leaf_keys_resolve_without_entries(self):
-        desc = entry_table((I("C(*,*)"), [chain_bit(IdealRef("0"), IdealRef("*"))]))
+        desc = entry_table((I("C(*,*)"), [chain_bit(I("0"), I("*"))]))
         assert validate(desc) == []
+
+    def test_improper_label_does_not_resolve(self):
+        # The improper ideal is no leaf: only the void and empty-only
+        # ideals resolve without entries.
+        desc = entry_table((I("C(*,*)"), [chain_bit(make_ideal([]), R)]))
+        assert validate(desc) == ["entry 'C(*,*)': label '' does not resolve"]
 
     def test_missing_root(self):
         desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]), root="A(*,*)")
@@ -144,6 +155,20 @@ class TestValidate:
         entries = {"C(*,*,*)": make_entry(I("C(*,*)"), [antichain_bit(R, R)])}
         desc = StructuralDescription("C(*,*,*)", entries)
         assert any("does not match" in p for p in validate(desc))
+
+
+class TestLabels:
+    def test_labels_are_entry_ideals_or_leaves(self):
+        tables = [synthesize([T(s) for s in texts]) for texts in sorted(GOLDEN)]
+        tables += [synthesize(terms) for terms in seeded_sets()]
+        tables += [from_json(to_json(desc)) for desc in tables]
+        for desc in tables:
+            for entry in desc.entries.values():
+                for bit in entry.bits:
+                    for label in (bit.first, bit.second):
+                        if label is R or label is VOID_IDEAL or label is EMPTY_ONLY_IDEAL:
+                            continue
+                        assert label is desc.entries[label.key].ideal, (desc.root, bit)
 
 
 class TestSerialization:
@@ -205,6 +230,37 @@ class TestSerialization:
         bad_term["entries"][0]["ideal"] = ["C(*"]
         with pytest.raises(DocumentFormatError):
             deserialize(bad_term)
+
+    @pytest.mark.parametrize("label", ["", "C(*, *)", "A(*,*)|A(*,*,*)", "X", "C(*,*)|"])
+    def test_label_that_is_no_canonical_key_rejected(self, label):
+        doc = {
+            "root": "C(*,*,*)",
+            "entries": [
+                {"ideal": ["C(*,*,*)"], "bits": [{"shape": "chain", "labels": [label, "R"]}]},
+                {"ideal": ["A(*,*)"], "bits": []},
+            ],
+        }
+        with pytest.raises(DocumentFormatError):
+            deserialize(doc)
+
+    def test_leaf_labels_load_as_leaf_ideals(self):
+        doc = {
+            "root": "C(*,*,*)",
+            "entries": [
+                {
+                    "ideal": ["C(*,*,*)"],
+                    "bits": [
+                        {"shape": "chain", "labels": ["*", "*"]},
+                        {"shape": "chain", "labels": ["0", "R"]},
+                    ],
+                }
+            ],
+        }
+        desc = deserialize(doc)
+        bits = desc.entries["C(*,*,*)"].bits
+        assert bits == (chain_bit(EMPTY_ONLY_IDEAL, EMPTY_ONLY_IDEAL), chain_bit(VOID_IDEAL, R))
+        assert validate(desc) == []
+        assert serialize(desc) == doc
 
     def test_duplicate_entry_rejected(self):
         doc = {

@@ -9,7 +9,8 @@ Core claims:
       enumerate lists canonical terms
     - show pretty-prints entries with ranks, and rejects an invalid
       document with exit 2, as verify --doc does, one with an entry for
-      the improper ideal among them
+      the improper ideal or a label that is no canonical ideal key
+      among them; the leaf labels ``0`` and ``*`` still load
     - degenerate ideals and bad input (over-deep terms included) exit 2
       with a diagnostic on stderr, and so do synthesis over the fold's
       pair budget, a removed flag, enumeration past its size cap and
@@ -294,6 +295,39 @@ class TestShow:
         assert captured.out == ""
         assert "invalid description" in captured.err
         assert "does not resolve" in captured.err
+
+
+    @pytest.mark.parametrize("label", ["", "C(*, *)", "A(*,*)|A(*,*,*)", "X"])
+    def test_label_that_is_no_canonical_key_exits_2(
+        self, label, obstruction_file, tmp_path, capsys
+    ):
+        path = obstruction_file("f.txt", "C(*,A(*,*),*)\n")
+        out = tmp_path / "doc.json"
+        assert main(["describe", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        (entry,) = [e for e in doc["entries"] if e["ideal"] == ["C(*,A(*,*))"]]
+        (bit,) = [b for b in entry["bits"] if b["labels"] == ["R", "A(*,*)"]]
+        bit["labels"][1] = label
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["show", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["verify", path, "--max-size", "4", "--doc", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
+    def test_leaf_labels_load(self, tmp_path, capsys):
+        doc = tmp_path / "leaves.json"
+        doc.write_text(
+            '{"root": "C(*,*,*)", "entries": [{"ideal": ["C(*,*,*)"], "bits": ['
+            '{"shape": "chain", "labels": ["0", "R"]},'
+            ' {"shape": "chain", "labels": ["*", "*"]}]}]}'
+        )
+        assert main(["show", str(doc)]) == 0
+        assert capsys.readouterr().out == (
+            "root C(*,*,*)\nentry C(*,*,*)  (rank 1)\n  chain: * | *\n  chain: 0 | R\n"
+        )
 
 
 class TestUsage:

@@ -40,8 +40,8 @@ from spdesc import (
     parse_term,
     synthesize,
 )
-from spdesc.bits import R, IdealRef, antichain_bit, chain_bit, make_entry
-from spdesc.ideals import contains_ideal, members_upto
+from spdesc.bits import R, antichain_bit, chain_bit, make_entry
+from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL, contains_ideal, members_upto
 from spdesc.terms import ANTICHAIN
 
 CATALOG = [
@@ -84,7 +84,7 @@ def hand_made_tables(count, seed):
     sets = random_sets(3 * count, seed)
     for i in range(count):
         ideals = list({make_ideal(s): None for s in sets[3 * i : 3 * i + 3]})
-        labels = [R, R, IdealRef("0"), IdealRef("*")] + [IdealRef(ideal.key) for ideal in ideals]
+        labels = [R, R, VOID_IDEAL, EMPTY_ONLY_IDEAL] + ideals
         entries = {}
         for ideal in ideals:
             bits = [
@@ -100,14 +100,13 @@ def worklist_generate(desc, key, n):
     earlier one in self cells and with every member of a static cell,
     which is read by filtering all orders of size <= n through member."""
     bits = []
-    for bit in desc.bits_for(key):
+    for bit in desc.entries[key].bits:
         cells = []
         for label in (bit.first, bit.second):
             if label is R:
                 cells.append(None)
             else:
-                ideal = desc.ideal_for(label.key)
-                cells.append([t for t in enumerate_sp(n) if member(ideal, t)])
+                cells.append([t for t in enumerate_sp(n) if member(label, t)])
         bits.append((chain_sum if bit.shape == "chain" else antichain_sum, cells))
     found = [EMPTY, POINT][: n + 1]
     seen = set(found)
@@ -172,7 +171,7 @@ class TestGenerateUpto:
                 if label is R:
                     cells.append(got)
                 else:
-                    cells.append(members_upto(desc.ideal_for(label.key), n))
+                    cells.append(members_upto(label, n))
             for a in cells[0]:
                 for b in cells[1]:
                     if a.n_points + b.n_points <= n:
@@ -189,7 +188,7 @@ class TestGenerateUpto:
         ideal = make_ideal([T("C(*,*)"), T("A(*,*)")])  # members: 0, *
         low = make_ideal([T("C(*,*,*)")])
         entries = {
-            low.key: make_entry(low, [chain_bit(IdealRef(ideal.key), IdealRef(ideal.key))]),
+            low.key: make_entry(low, [chain_bit(ideal, ideal)]),
             ideal.key: make_entry(ideal, []),
         }
         desc = StructuralDescription(low.key, entries)
@@ -203,7 +202,7 @@ class TestGenerateUpto:
         entries = {
             low.key: make_entry(
                 low,
-                [chain_bit(IdealRef("0"), R), chain_bit(IdealRef("*"), IdealRef("*"))],
+                [chain_bit(VOID_IDEAL, R), chain_bit(EMPTY_ONLY_IDEAL, EMPTY_ONLY_IDEAL)],
             )
         }
         desc = StructuralDescription(low.key, entries)
@@ -214,6 +213,18 @@ class TestGenerateUpto:
         desc = synthesize([T("C(*,*,*)")])
         with pytest.raises(UnknownIdealKeyError):
             generate_upto(desc, "A(*,*,*)", 3)
+
+    def test_label_without_entry_reads_its_ideal(self):
+        # An unvalidated table may name an ideal that has no entry; its
+        # cells are filled from the ideal's members all the same.
+        low = make_ideal([T("C(*,*,*)")])
+        chains = make_ideal([T("A(*,*)")])
+        desc = StructuralDescription(low.key, {low.key: make_entry(low, [chain_bit(chains, R)])})
+        got = generate_upto(desc, low.key, 4).terms
+        assert got == worklist_generate(desc, low.key, 4)
+        assert T("C(*,*,*,*)") in got and T("A(*,*)") not in got
+        for t in enumerate_sp(4):
+            assert member_topdown(desc, low.key, t) == (t in got)
 
     def test_resource_cap(self, monkeypatch):
         desc = synthesize([T("C(*,A(*,*),*)")])
@@ -307,7 +318,7 @@ class TestPartFirstLemma:
                             kinds.add("R")
                         elif label.key in ("0", "*"):
                             kinds.add(label.key)
-                        elif contains_ideal(entry.ideal, desc.ideal_for(label.key)):
+                        elif contains_ideal(entry.ideal, label):
                             kinds.add("contained")
                         else:
                             kinds.add("uncontained")

@@ -87,7 +87,7 @@ def label_ideals():
             for bit in entry.bits:
                 for label in (bit.first, bit.second):
                     if label is not R:
-                        found[label.key] = desc.ideal_for(label.key)
+                        found[label.key] = label
     return list(found.values())
 
 

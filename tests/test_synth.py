@@ -54,7 +54,7 @@ from spdesc import (
     validate,
     verify_equivalence,
 )
-from spdesc.bits import R, Bit, IdealRef, antichain_bit, chain_bit, make_entry
+from spdesc.bits import R, antichain_bit, chain_bit, make_entry
 from spdesc.ideals import contains_ideal
 from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_multi
 from spdesc.terms import ANTICHAIN, CHAIN
@@ -286,7 +286,7 @@ def naive_mixed_table():
     cells, which readmit A(*,*) through the C(*,*)-free orders."""
     root = I("C(*,*,*)", "A(*,*)")
     entries = dict(synthesize([T("C(*,*)")]).entries)
-    entries[root.key] = make_entry(root, [chain_bit(IdealRef("C(*,*)"), IdealRef("C(*,*)"))])
+    entries[root.key] = make_entry(root, [chain_bit(I("C(*,*)"), I("C(*,*)"))])
     return StructuralDescription(root.key, entries)
 
 
@@ -371,9 +371,8 @@ class TestSynthesize:
                 for bit in entry.bits:
                     for label in (bit.first, bit.second):
                         if label is not R:
-                            ref = desc.ideal_for(label.key)
-                            assert ref is not entry.ideal
-                            assert contains_ideal(entry.ideal, ref)
+                            assert label is not entry.ideal
+                            assert contains_ideal(entry.ideal, label)
 
     def test_memoized_shared_entries(self):
         # Both labels of the diamond's middle rule recurse into the same
@@ -408,12 +407,8 @@ class TestDominanceFree:
         for texts in self.TABLES:
             desc = synthesize([T(s) for s in texts])
 
-            def resolve(label):
-                return label if label is R else desc.ideal_for(label.key)
-
             for key, entry in desc.entries.items():
-                resolved = [Bit(b.shape, resolve(b.first), resolve(b.second)) for b in entry.bits]
-                assert maximal(resolved, entry.ideal) == set(resolved), (texts, key)
+                assert maximal(entry.bits, entry.ideal) == set(entry.bits), (texts, key)
 
     def test_tables_verify(self):
         for texts in self.TABLES[:3]:
@@ -595,5 +590,4 @@ def test_no_label_is_void_or_empty_only():
             for bit in entry.bits:
                 for label in (bit.first, bit.second):
                     if label is not R:
-                        ideal = desc.ideal_for(label.key)
-                        assert not ideal.is_void and not ideal.is_empty_only, (terms, bit)
+                        assert not label.is_void and not label.is_empty_only, (terms, bit)
