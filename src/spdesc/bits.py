@@ -271,8 +271,9 @@ def deserialize(doc: dict) -> StructuralDescription:
     """Rebuild a description from a document; rejects unknown fields and
     malformed terms, shapes or labels.
 
-    Every entry's ideal is parsed first, so a label naming an entry is
-    that entry's ideal; only a label naming no entry is parsed, and it
+    Every entry's ideal is parsed first and must be spelled as its
+    canonical obstruction texts in key order, so a label naming an entry
+    is that entry's ideal; only a label naming no entry is parsed, and it
     must be its ideal's canonical key."""
     _require_fields(doc, ("root", "entries"), "document")
     root = doc["root"]
@@ -288,6 +289,8 @@ def deserialize(doc: dict) -> StructuralDescription:
         if not isinstance(terms_doc, list) or not all(isinstance(s, str) for s in terms_doc):
             raise DocumentFormatError("entry ideal must be a list of term strings")
         ideal = _parse_ideal(terms_doc, "obstruction term")
+        if terms_doc != [t.text for t in ideal.obstructions]:
+            raise DocumentFormatError(f"entry ideal {terms_doc!r} is no canonical obstruction list")
         if not isinstance(entry_doc["bits"], list):
             raise DocumentFormatError("entry bits must be a list")
         if ideal.key in ideals:

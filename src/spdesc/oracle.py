@@ -7,20 +7,22 @@ exploits.  ``brute_embed`` is the arbiter for the fast suborder test,
 ``verify_equivalence`` compares a synthesized description's generated
 set against direct enumeration.
 
-The relation work is done once per order, not once per (pattern, host)
-pair.  ``_relation_masks`` gives each point's at-or-above, at-or-below
-and incomparable masks, with the numbers of comparable and incomparable
-pairs; ``_constraint_rows`` gives how each pattern point relates to the
-earlier ones.  Both read only the materialized relation, and so does the
+Each order is prepared once, not once per (pattern, host) pair:
+``_relation_masks`` gives each point its at-or-above, at-or-below and
+incomparable masks, with the numbers of comparable and incomparable
+pairs, and ``_constraint_rows`` compiles a pattern into those two counts
+and how each point relates to the earlier ones.  One search,
+``_embeds``, runs a compiled pattern against a host's masks for both
+entry points; ``avoiders_upto`` filters the hosts one pattern at a time.
+All of it reads only the materialized relation, and so does the
 pair-count refusal in front of the search: an induced embedding maps
 comparable pairs injectively onto comparable pairs and incomparable
-pairs onto incomparable ones, so a pattern with more of either cannot
-embed.  The arbiter thus stays independent of the term algebra it
-checks.  Every cache here is keyed on one term, and ``brute_embed``'s
-size guard comes before all of them, so the arbiter adds to each at most
-one entry per order of at most ``MAX_BRUTE_POINTS`` points.  Answers are
-not cached per pair: a search is cheap to re-run, and a pair memo would
-grow with the product of patterns and hosts.
+pairs onto incomparable ones.  The arbiter thus stays independent of the
+term algebra it checks.  Every cache here is keyed on one term, and a
+term of more than ``MAX_BRUTE_POINTS`` points is answered, skipped or
+refused before any cache is touched, so each holds at most one entry per
+order of at most that size.  Answers are not cached per pair: a pair
+memo would grow with the product of patterns and hosts.
 """
 
 from __future__ import annotations
@@ -53,17 +55,7 @@ def brute_embed(p: SpTerm, q: SpTerm) -> bool:
         raise SizeGuardError(
             f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points"
         )
-    # The guard comes before the search, so it also bounds what the
-    # search adds to the per-order caches.
-    return _search_embedding(p, q)
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+    return _embeds(_constraint_rows(p), _relation_masks(q))
 
 
 @cache
@@ -81,74 +73,77 @@ def _relation_masks(
     full = (1 << n) - 1
     below = [0] * n
     for a, row in enumerate(rel.leq):
-        for b in _bits(row):
-            below[b] |= 1 << a
+        while row:
+            low = row & -row
+            row ^= low
+            below[low.bit_length() - 1] |= 1 << a
     incomp = tuple(full & ~(rel.leq[a] | below[a]) for a in range(n))
     comparable = sum(row.bit_count() for row in rel.leq) - n
     return rel.leq, tuple(below), incomp, comparable, n * (n - 1) // 2 - comparable
 
 
 @cache
-def _constraint_rows(p: SpTerm) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """For each point ``i`` of the pattern, ``(j, kind)`` for every
-    earlier point ``j``: kind 0 when ``i`` lies above ``j``, 1 when below
-    it, 2 when incomparable."""
-    above, below = _relation_masks(p)[:2]
-    return tuple(
-        tuple(
-            (j, 0 if above[j] >> i & 1 else 1 if below[j] >> i & 1 else 2)
-            for j in range(i)
-        )
+def _constraint_rows(p: SpTerm) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """The pattern's numbers of comparable and of incomparable pairs,
+    then for each point ``i`` the pair ``(j, kind)`` for every earlier
+    point ``j``: kind 0 when ``i`` lies above ``j``, 1 when below it, 2
+    when incomparable."""
+    above, below, _, comparable, incomparable = _relation_masks(p)
+    return comparable, incomparable, tuple(
+        tuple((j, 0 if above[j] >> i & 1 else 1 if below[j] >> i & 1 else 2) for j in range(i))
         for i in range(len(above))
     )
 
 
-def _search_embedding(p: SpTerm, q: SpTerm) -> bool:
-    """Backtracking over injective maps of the pattern's points, in
-    order, each host candidate narrowed by the masks of the images of
-    the earlier points."""
-    p_comparable, p_incomparable = _relation_masks(p)[3:]
-    masks = _relation_masks(q)
-    q_comparable, q_incomparable = masks[3:]
-    # An induced embedding maps comparable pairs injectively onto
-    # comparable pairs and incomparable ones onto incomparable ones.
-    if p_comparable > q_comparable or p_incomparable > q_incomparable:
+def _embeds(pattern, host) -> bool:
+    """Depth-first search over injective maps of a nonempty compiled
+    pattern's points into a host's masks, in order: ``cand`` holds the
+    candidates for point ``i``, narrowed by the images of the earlier
+    points, and ``cands[j]`` those not yet tried for an earlier ``j``."""
+    comparable, incomparable, rows = pattern
+    if comparable > host[3] or incomparable > host[4]:
         return False
-    constraints = _constraint_rows(p)
-    np_ = len(constraints)
-    full = (1 << q.n_points) - 1
-    assigned = [0] * np_
-
-    def place(i: int, used: int) -> bool:
-        if i == np_:
-            return True
-        cand = full & ~used
-        for j, kind in constraints[i]:
-            cand &= masks[kind][assigned[j]]
-            if not cand:
-                return False
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            assigned[i] = low.bit_length() - 1
-            if place(i + 1, used | low):
+    last = len(rows) - 1
+    cand = full = (1 << len(host[0])) - 1
+    cands = [0] * len(rows)
+    assigned = [0] * len(rows)
+    used = 0
+    i = 0
+    while True:
+        if cand:
+            if i == last:
                 return True
-        return False
-
-    return place(0, 0)
+            low = cand & -cand
+            cands[i] = cand ^ low
+            assigned[i] = low.bit_length() - 1
+            used |= low
+            i += 1
+            cand = full ^ used
+            for j, kind in rows[i]:
+                cand &= host[kind][assigned[j]]
+        elif i:
+            i -= 1
+            used ^= 1 << assigned[i]
+            cand = cands[i]
+        else:
+            return False
 
 
 def avoiders_upto(forbidden, n: int) -> list[SpTerm]:
     """All canonical terms of size <= n into which none of the forbidden
-    terms embeds, by direct enumeration and brute-force embedding."""
+    terms embeds, by direct enumeration and brute-force embedding.  The
+    hosts are filtered one pattern at a time; a pattern of more than
+    ``n`` points embeds into none of them and is skipped untouched."""
     if n > MAX_BRUTE_POINTS:
         raise SizeGuardError(f"avoider enumeration is capped at size {MAX_BRUTE_POINTS}")
-    forbidden = list(forbidden)
-    return [
-        t
-        for t in enumerate_sp(n)
-        if all(not brute_embed(f, t) for f in forbidden)
-    ]
+    hosts = enumerate_sp(n)
+    for f in forbidden:
+        if f is EMPTY:
+            return []
+        if f.n_points <= n:
+            pattern = _constraint_rows(f)
+            hosts = [t for t in hosts if not _embeds(pattern, _relation_masks(t))]
+    return hosts
 
 
 @dataclass(frozen=True)

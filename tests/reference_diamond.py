@@ -9,8 +9,16 @@ relation, so the predicate shares nothing with the suborder test.
 """
 
 from spdesc import EMPTY, chain_sum
-from spdesc.oracle import _bits, _relation_masks
+from spdesc.oracle import _relation_masks
 from spdesc.terms import CHAIN, finest_antichain_rep
+
+
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def finest_chain_rep(t) -> list:

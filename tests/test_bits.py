@@ -243,6 +243,23 @@ class TestSerialization:
         with pytest.raises(DocumentFormatError):
             deserialize(doc)
 
+    @pytest.mark.parametrize(
+        "spelling",
+        [
+            ["A(*, *)", "A(*,*,*)"],
+            ["A(*,*)", "A(*,*,*)"],
+            ["A(*, *)"],
+            ["A(*,*)", "A(*,*)"],
+            ["C(*,*,*)", "A(*,*,*)"],
+        ],
+    )
+    def test_entry_that_is_no_canonical_spelling_rejected(self, spelling):
+        canonical = make_ideal([T(s) for s in spelling])
+        assert spelling != [t.text for t in canonical.obstructions]
+        doc = {"root": canonical.key, "entries": [{"ideal": spelling, "bits": []}]}
+        with pytest.raises(DocumentFormatError, match="canonical obstruction list"):
+            deserialize(doc)
+
     def test_leaf_labels_load_as_leaf_ideals(self):
         doc = {
             "root": "C(*,*,*)",
@@ -277,7 +294,9 @@ class TestSerialization:
         tables = [synthesize([T(s) for s in texts]) for texts in sorted(GOLDEN)]
         tables += [synthesize(terms) for terms in seeded_sets()]
         for desc in tables:
-            assert to_json(desc) == json.dumps(serialize(desc), indent=2) + "\n"
+            text = to_json(desc)
+            assert text == json.dumps(serialize(desc), indent=2) + "\n"
+            assert to_json(from_json(text)) == text
 
     def test_writer_lays_out_empty_lists(self):
         no_bits = {"root": "C(*,*)", "entries": [{"ideal": ["C(*,*)"], "bits": []}]}

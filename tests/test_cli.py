@@ -317,6 +317,24 @@ class TestShow:
         assert captured.out == ""
         assert "error:" in captured.err
 
+    def test_entry_that_is_no_canonical_spelling_exits_2(
+        self, obstruction_file, tmp_path, capsys
+    ):
+        path = obstruction_file("f.txt", "C(*,A(*,*),*)\n")
+        out = tmp_path / "doc.json"
+        assert main(["describe", path, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        (entry,) = [e for e in doc["entries"] if e["ideal"] == ["A(*,*)"]]
+        entry["ideal"] = ["A(*, *)", "A(*,*,*)"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["show", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(["verify", path, "--max-size", "6", "--doc", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "canonical obstruction list" in captured.err
+
     def test_leaf_labels_load(self, tmp_path, capsys):
         doc = tmp_path / "leaves.json"
         doc.write_text(

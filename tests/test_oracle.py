@@ -2,22 +2,28 @@
 
 Core claims:
     - brute_embed finds exactly the order-isomorphic restrictions and
-      agrees with the structural suborder test on all small pairs
+      agrees with the structural suborder test and with trying every
+      injective map on all small pairs
     - the pair-count refusal never refuses a true suborder
     - every oracle cache is keyed on one term, so the size guard bounds
-      it by the number of orders of at most 9 points
+      it by the number of orders of at most 9 points; a larger pattern
+      touches none of them
     - avoiders_upto enumerates exactly the terms missing every forbidden
-      suborder, and those sets are closed under suborders
+      suborder, in the order and with the answers of the pair-by-pair
+      filter, and those sets are closed under suborders
+    - the oracle answers with the term algebra's suborder test, its
+      deletions and ideal membership all refusing to run
     - verify_equivalence reports equality for honest pipelines and
       witnesses for corrupted descriptions
     - diamond_free_shape matches diamond-freeness exactly on small terms
 """
 
 import inspect
+from itertools import permutations
 
 import pytest
 
-from spdesc import oracle
+from spdesc import ideals, oracle, terms
 from spdesc import (
     EMPTY,
     POINT,
@@ -34,10 +40,12 @@ from spdesc import (
     verify_equivalence,
 )
 from spdesc.bits import make_entry
+from spdesc.terms import to_relation
 
 from reference_diamond import diamond_free_shape
 
 DIAMOND = "C(*,A(*,*),*)"
+WIDE = "A(*,C(*,*),C(*,*,*),C(*,A(*,*)))"
 
 CATALOG = [
     ("C(*,*)",),
@@ -61,6 +69,23 @@ ORACLE_CACHES = [
 
 def T(s):
     return parse_term(s)
+
+
+def permutation_embed(p, q) -> bool:
+    """Whether some injective map of ``p``'s points into ``q``'s, tried
+    in full one by one, preserves and reflects the order."""
+    rp, rq = to_relation(p), to_relation(q)
+    pairs = [(a, b) for a in range(rp.n) for b in range(rp.n)]
+    return any(
+        all((rp.leq[a] >> b & 1) == (rq.leq[image[a]] >> image[b] & 1) for a, b in pairs)
+        for image in permutations(range(rq.n), rp.n)
+    )
+
+
+def filtered_pair_by_pair(forbidden, n):
+    """The avoiders as the host-outer filter that tests every pattern
+    against each host in turn."""
+    return [t for t in enumerate_sp(n) if all(not brute_embed(f, t) for f in forbidden)]
 
 
 class TestBruteEmbed:
@@ -102,6 +127,12 @@ class TestBruteEmbed:
                     assert not brute_embed(p, q), (p, q)
         assert refused
 
+    def test_agrees_with_trying_every_injective_map(self):
+        orders = enumerate_sp(5)
+        for p in orders:
+            for q in orders:
+                assert brute_embed(p, q) == permutation_embed(p, q), (p, q)
+
     def test_pair_counts(self):
         assert oracle._relation_masks(EMPTY)[3:] == (0, 0)
         assert oracle._relation_masks(T(DIAMOND))[3:] == (5, 1)
@@ -122,6 +153,40 @@ class TestAvoiders:
         chain10 = T("C(" + ",".join("*" * 10) + ")")
         assert avoiders_upto([chain10], 6) == enumerate_sp(6)
 
+    def test_same_list_as_the_pair_by_pair_filter(self):
+        cases = [([T(s) for s in texts], 9) for texts in CATALOG]
+        cases.append(([T(WIDE)], 8))
+        chain10 = T("C(" + ",".join("*" * 10) + ")")
+        cases += [
+            ([T("C(*,*)"), EMPTY, T("A(*,*,*)")], 6),
+            ([EMPTY], 0),
+            ([T("C(*,*,*)"), T("A(*,*,*)"), T("C(*,*,*)")], 7),
+            ([chain10, T(DIAMOND)], 9),
+            ([chain10], 0),
+        ]
+        for forbidden, n in cases:
+            assert avoiders_upto(forbidden, n) == filtered_pair_by_pair(forbidden, n), forbidden
+        assert avoiders_upto([T("C(*,*)"), EMPTY], 6) == []
+
+    def test_answers_without_the_term_algebra(self, monkeypatch):
+        catalog = [[T(s) for s in texts] for texts in CATALOG]
+        avoiders = [avoiders_upto(forbidden, 7) for forbidden in catalog]
+        small = enumerate_sp(5)
+        want = {(p, q): permutation_embed(p, q) for p in small for q in small}
+
+        def refuse(*args):
+            raise AssertionError("the oracle read the term algebra")
+
+        for name in ("is_suborder", "_embeds", "one_point_deletions"):
+            monkeypatch.setattr(terms, name, refuse)
+        monkeypatch.setattr(ideals, "member", refuse)
+        for module in (oracle, terms):
+            for memo in vars(module).values():
+                if hasattr(memo, "cache_clear"):
+                    memo.cache_clear()
+        assert [avoiders_upto(forbidden, 7) for forbidden in catalog] == avoiders
+        assert {pair: brute_embed(*pair) for pair in want} == want
+
     def test_suborder_closed(self):
         for texts in (["C(*,*,*)"], ["A(*,*,*)"], [DIAMOND], ["C(*,*,*)", "A(*,*,*)"]):
             got = set(avoiders_upto([T(s) for s in texts], 6))
@@ -135,14 +200,20 @@ class TestAvoiders:
         for memo in ORACLE_CACHES:
             assert len(inspect.signature(memo.__wrapped__).parameters) == 1, memo
             memo.cache_clear()
-        seen = set(enumerate_sp(9))
-        assert len(seen) == 11757
+        hosts = enumerate_sp(9)
+        assert len(hosts) == 11757
+        patterns = set()
         for texts in CATALOG:
             forbidden = [T(s) for s in texts]
             avoiders_upto(forbidden, 9)
-            seen.update(forbidden)
-        for memo in ORACLE_CACHES:
-            assert 0 < memo.cache_info().currsize <= len(seen), memo
+            patterns.update(forbidden)
+        assert 0 < oracle._constraint_rows.cache_info().currsize <= len(patterns)
+        assert 0 < oracle._relation_masks.cache_info().currsize <= len(set(hosts) | patterns)
+        sizes = [memo.cache_info().currsize for memo in ORACLE_CACHES]
+        flat700 = T("A(" + ",".join("*" * 700) + ")")
+        assert avoiders_upto([flat700], 9) == hosts
+        assert brute_embed(flat700, T("C(*,*,*)")) is False
+        assert [memo.cache_info().currsize for memo in ORACLE_CACHES] == sizes
 
 
 class TestVerifyEquivalence:
