@@ -27,7 +27,6 @@ from .bits import (
     UnknownIdealKeyError,
     from_json,
     rank,
-    serialize,
     to_json,
     validate,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "member_topdown",
     "parse_term",
     "rank",
-    "serialize",
     "synthesize",
     "to_json",
     "validate",

@@ -141,30 +141,37 @@ def rank(desc: StructuralDescription, key: str) -> int:
     i.e. the leaf ideals, add no depth)."""
     if key not in desc.entries:
         raise UnknownIdealKeyError(key)
-    memo: dict[str, int] = {}
-    in_progress: set[str] = set()
+    return _walk_ranks(desc, key, {}, set())
 
-    def walk(k: str) -> int:
-        got = memo.get(k)
-        if got is not None:
-            return got
-        if k in in_progress:
-            raise ValueError(f"cyclic references through entry {k!r}")
-        in_progress.add(k)
-        entry = desc.entries[k]
-        if not entry.bits:
-            result = 0
+
+def _walk_ranks(desc: StructuralDescription, key: str, ranks: dict, open_keys: set) -> int:
+    """``rank`` of ``key``, depth first over the references that have
+    entries, with an explicit stack so that a deep table needs no
+    recursion.  ``ranks`` holds the ranks found so far and gains each
+    entry walked; ``open_keys`` holds the entries whose references are
+    still being walked, and a reference back into it raises
+    ``ValueError``, leaving the walked path in it."""
+    open_keys.add(key)
+    stack = [(key, _entry_refs(desc.entries[key]))]
+    while stack:
+        k, refs = stack[-1]
+        for ref in refs:
+            if ref not in desc.entries or ref in ranks:
+                continue
+            if ref in open_keys:
+                raise ValueError(f"cyclic references through entry {ref!r}")
+            open_keys.add(ref)
+            stack.append((ref, _entry_refs(desc.entries[ref])))
+            break
         else:
-            deepest = 0
-            for ref in _entry_refs(entry):
-                if ref in desc.entries:
-                    deepest = max(deepest, walk(ref))
-            result = deepest + 1
-        in_progress.discard(k)
-        memo[k] = result
-        return result
-
-    return walk(key)
+            stack.pop()
+            open_keys.discard(k)
+            entry = desc.entries[k]
+            deepest = max(
+                (ranks[ref] for ref in _entry_refs(entry) if ref in desc.entries), default=0
+            )
+            ranks[k] = deepest + 1 if entry.bits else 0
+    return ranks[key]
 
 
 def validate(desc: StructuralDescription) -> list[str]:
@@ -208,45 +215,20 @@ def validate(desc: StructuralDescription) -> list[str]:
                         " in the entry ideal"
                     )
     # Cycle check over references that have entries.
-    color: dict[str, int] = {}
-
-    def dfs(k: str) -> bool:
-        color[k] = 1
-        for ref in _entry_refs(desc.entries[k]):
-            if ref not in desc.entries:
-                continue
-            c = color.get(ref, 0)
-            if c == 1:
-                return True
-            if c == 0 and dfs(ref):
-                return True
-        color[k] = 2
-        return False
-
+    ranks: dict[str, int] = {}
+    open_keys: set[str] = set()
     for key in sorted(desc.entries):
-        if color.get(key, 0) == 0 and dfs(key):
-            problems.append(f"reference cycle through entry {key!r}")
+        if key not in ranks and key not in open_keys:
+            try:
+                _walk_ranks(desc, key, ranks, open_keys)
+            except ValueError:
+                problems.append(f"reference cycle through entry {key!r}")
     return problems
 
 
 def label_doc(label) -> str:
     """A label as the document writes it: ``R`` or its ideal's key."""
     return "R" if label is R else label.key
-
-
-def serialize(desc: StructuralDescription) -> dict:
-    """Plain-data document for JSON output; deterministic ordering."""
-    entries_doc = []
-    for key in sorted(desc.entries):
-        entry = desc.entries[key]
-        bits_doc = [
-            {"shape": bit.shape, "labels": [label_doc(bit.first), label_doc(bit.second)]}
-            for bit in entry.bits
-        ]
-        entries_doc.append(
-            {"ideal": [t.text for t in entry.ideal.obstructions], "bits": bits_doc}
-        )
-    return {"root": desc.root, "entries": entries_doc}
 
 
 def _require_fields(mapping, fields, what):
@@ -350,9 +332,11 @@ _DOCUMENT_JSON = '{\n  "root": %s,\n  "entries": %s\n}\n'
 
 
 def to_json(desc: StructuralDescription) -> str:
-    """``json.dumps(serialize(desc), indent=2) + "\\n"``, written straight
-    from the table: the document's shape is fixed, and the standard
-    encoder takes its pure-Python path whenever it indents."""
+    """The description's JSON document, the one ``deserialize`` reads,
+    laid out as ``json.dumps(..., indent=2)`` lays it out, plus a final
+    newline.  It is written straight from the table: the document's
+    shape is fixed, and the standard encoder takes its pure-Python path
+    whenever it indents."""
     entries = []
     for key in sorted(desc.entries):
         entry = desc.entries[key]

@@ -17,9 +17,9 @@ import sys
 from .bits import (
     DocumentFormatError,
     UnknownIdealKeyError,
+    _walk_ranks,
     from_json,
     label_doc,
-    rank,
     to_dot,
     to_json,
     validate,
@@ -132,11 +132,14 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_show(args) -> int:
     desc = _load_valid_doc(args.doc)
+    # Every rank before the first print, in one walk of the table.
+    ranks: dict[str, int] = {}
+    for key in sorted(desc.entries):
+        _walk_ranks(desc, key, ranks, set())
     print(f"root {desc.root}")
     for key in sorted(desc.entries):
-        entry = desc.entries[key]
-        print(f"entry {key}  (rank {rank(desc, key)})")
-        for bit in entry.bits:
+        print(f"entry {key}  (rank {ranks[key]})")
+        for bit in desc.entries[key].bits:
             print(f"  {bit.shape}: {label_doc(bit.first)} | {label_doc(bit.second)}")
     return 0
 

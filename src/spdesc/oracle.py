@@ -2,7 +2,8 @@
 
 Everything here works on materialized point relations and exhaustive
 search, deliberately ignoring the structure the rest of the package
-exploits.  ``brute_embed`` is the arbiter for the fast suborder test,
+exploits: the relations themselves are read off each term's sums.
+``brute_embed`` is the arbiter for the fast suborder test,
 ``avoiders_upto`` the arbiter for ideal membership, and
 ``verify_equivalence`` compares a synthesized description's generated
 set against direct enumeration.
@@ -32,7 +33,7 @@ from functools import cache
 
 from .bits import StructuralDescription
 from .closure import generate_upto
-from .terms import EMPTY, SpTerm, enumerate_sp, to_relation
+from .terms import CHAIN, EMPTY, POINT, SpTerm, enumerate_sp
 
 MAX_BRUTE_POINTS = 9
 
@@ -62,24 +63,37 @@ def brute_embed(p: SpTerm, q: SpTerm) -> bool:
 def _relation_masks(
     t: SpTerm,
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int, int]:
-    """Per point of ``t``'s materialized relation, the masks of the points
-    at or above it, at or below it and incomparable to it (so relation
-    kinds 0/1/2 index them), then the numbers of comparable and of
-    incomparable pairs.  The masks include the point itself, which a
-    search has always used already; the at-or-above masks are the
-    relation's own rows."""
-    rel = to_relation(t)
-    n = rel.n
+    """Per point of ``t``, the masks of the points at or above it, at or
+    below it and incomparable to it (so relation kinds 0/1/2 index
+    them), then the numbers of comparable and of incomparable pairs.
+    The masks include the point itself, which a search has always used
+    already.  The points are numbered part by part, each part's masks
+    shifted to its offset: in a chain sum every point lies below every
+    point of the later layers, and the components of an antichain sum
+    are pairwise incomparable."""
+    if t is EMPTY:
+        return (), (), (), 0, 0
+    if t is POINT:
+        return (1,), (1,), (0,), 0, 0
+    n = t.n_points
     full = (1 << n) - 1
-    below = [0] * n
-    for a, row in enumerate(rel.leq):
-        while row:
-            low = row & -row
-            row ^= low
-            below[low.bit_length() - 1] |= 1 << a
-    incomp = tuple(full & ~(rel.leq[a] | below[a]) for a in range(n))
-    comparable = sum(row.bit_count() for row in rel.leq) - n
-    return rel.leq, tuple(below), incomp, comparable, n * (n - 1) // 2 - comparable
+    up, down, incomp = [], [], []
+    comparable = off = 0
+    for part in t.children:
+        p_up, p_down, p_incomp, p_comparable, _ = _relation_masks(part)
+        end = off + len(p_up)
+        if t.kind == CHAIN:
+            later, earlier, beside = full >> end << end, (1 << off) - 1, 0
+            comparable += (end - off) * (n - end)
+        else:
+            later = earlier = 0
+            beside = full ^ ((1 << end) - (1 << off))
+        up.extend(row << off | later for row in p_up)
+        down.extend(row << off | earlier for row in p_down)
+        incomp.extend(row << off | beside for row in p_incomp)
+        comparable += p_comparable
+        off = end
+    return tuple(up), tuple(down), tuple(incomp), comparable, n * (n - 1) // 2 - comparable
 
 
 @cache

@@ -18,7 +18,7 @@ one term.  Terms are interned, so equal terms are the same object and
 ``is``, ``==``, hashing and memo lookups are all cheap identity
 operations.  Everything in this module is a pure function of its
 arguments and safe for concurrent use.  The suborder test, the one
-point deletions, the enumeration levels and the relations are memoized
+point deletions and the enumeration levels are memoized
 by ``functools.cache`` on private helpers, whose ``cache_info()``
 reports each memo's size and whose ``cache_clear()`` empties it: a memo
 only holds values that are recomputed identically.  The intern table is
@@ -27,7 +27,6 @@ not a memo and is never cleared, since equal terms must stay one object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import groupby
 
@@ -282,6 +281,8 @@ def _chain_in_chain(pparts, qparts) -> bool:
     # at layer i, the rest going above it (-1 when none can).  Each
     # last[i] reads only those above it, so no call recurses, and fewer
     # layers of p embed more easily, so once one is -1 all below it are.
+    # Dropping layer i from a block at layer j of q leaves layers i+1..
+    # embedded from layer j on, so last[i] <= last[i + 1].
     n, m = len(pparts), len(qparts)
     ptail = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
@@ -291,7 +292,7 @@ def _chain_in_chain(pparts, qparts) -> bool:
         qtail[j] = qtail[j + 1] + qparts[j].n_points
     last = [-1] * n + [m]
     for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
+        for j in range(min(m - 1, last[i + 1]), -1, -1):
             if ptail[i] > qtail[j]:
                 continue
             for l in range(i, n):
@@ -536,54 +537,3 @@ def enumerate_sp(n: int) -> list[SpTerm]:
     for s in range(n + 1):
         out.extend(_terms_of_size(s))
     return out
-
-
-# -- Explicit relations -----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PosetRelation:
-    """Explicit order relation on points 0..n-1.
-
-    Bit ``j`` of ``leq[i]`` is set iff point ``i <= j`` (reflexive bits
-    included).  Used only by relation-level predicates that must stay
-    independent of the term algebra.
-    """
-
-    n: int
-    leq: tuple[int, ...]
-
-
-def to_relation(t: SpTerm) -> PosetRelation:
-    """Materialize a term as a concrete relation: within a layer the
-    layer's own order, everything in an earlier chain layer below every
-    point of a later one, components of an antichain sum incomparable."""
-    return _relation(t)
-
-
-@cache
-def _relation(t: SpTerm) -> PosetRelation:
-    if t is EMPTY:
-        return PosetRelation(0, ())
-    if t is POINT:
-        return PosetRelation(1, (1,))
-    parts = [_relation(c) for c in t.children]
-    total = sum(p.n for p in parts)
-    rows = []
-    off = 0
-    if t.kind == CHAIN:
-        for idx, p in enumerate(parts):
-            above = 0
-            o2 = off + p.n
-            for later in parts[idx + 1 :]:
-                above |= ((1 << later.n) - 1) << o2
-                o2 += later.n
-            for row in p.leq:
-                rows.append((row << off) | above)
-            off += p.n
-    else:
-        for p in parts:
-            for row in p.leq:
-                rows.append(row << off)
-            off += p.n
-    return PosetRelation(total, tuple(rows))

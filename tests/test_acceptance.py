@@ -14,6 +14,7 @@ per-test verdicts of ``pytest -v`` carry the same information).
     7. Mixed-case label intersection regression
 """
 
+import json
 import time
 
 import pytest
@@ -27,8 +28,8 @@ from spdesc import (
     member,
     parse_term,
     rank,
-    serialize,
     synthesize,
+    to_json,
     validate,
     verify_equivalence,
 )
@@ -104,7 +105,7 @@ def test_criterion_3_two_point_bits(catalog_descriptions):
     bad = []
     total = 0
     for texts, desc in catalog_descriptions.items():
-        for entry_doc in serialize(desc)["entries"]:
+        for entry_doc in json.loads(to_json(desc))["entries"]:
             for bit_doc in entry_doc["bits"]:
                 total += 1
                 if bit_doc["shape"] not in ("chain", "antichain") or len(bit_doc["labels"]) != 2:

@@ -9,12 +9,13 @@ Core claims:
       void and empty-only ideals, and passes on synthesized tables
     - every label other than R is the interned ideal of its entry, or
       one of the two leaf ideals, in synthesized and reloaded tables
-    - serialize/deserialize round-trips losslessly, deterministically,
+    - to_json/deserialize round-trips losslessly, deterministically,
       and rejects unknown fields and malformed documents; a label naming
       no entry must be its ideal's canonical key, and the leaf labels
       ``0`` and ``*`` load as the leaf ideals
-    - to_json writes exactly what the standard encoder writes for the
-      serialized document at indent 2, empty lists included
+    - to_json lays its document out exactly as the standard encoder
+      does at indent 2, empty lists included, and from_json reads it
+      back as the same table
 """
 
 import json
@@ -28,7 +29,6 @@ from spdesc import (
     make_ideal,
     parse_term,
     rank,
-    serialize,
     synthesize,
     to_json,
     validate,
@@ -187,10 +187,10 @@ class TestSerialization:
         )
         for texts in catalog:
             desc = synthesize([T(s) for s in texts])
-            doc = serialize(desc)
+            doc = json.loads(to_json(desc))
             again = deserialize(doc)
             assert again == desc
-            assert serialize(again) == doc
+            assert json.loads(to_json(again)) == doc
             assert from_json(to_json(desc)) == desc
 
     def test_deterministic_json(self):
@@ -200,18 +200,18 @@ class TestSerialization:
 
     def test_empty_description_document(self):
         desc = entry_table((I("C(*,*)"), []))
-        doc = serialize(desc)
+        doc = json.loads(to_json(desc))
         assert doc == {"root": "C(*,*)", "entries": [{"ideal": ["C(*,*)"], "bits": []}]}
         assert deserialize(doc) == desc
 
     def test_unknown_field_rejected(self):
-        doc = serialize(synthesize([T("C(*,*,*)")]))
+        doc = json.loads(to_json(synthesize([T("C(*,*,*)")])))
         doc["comment"] = "hello"
         with pytest.raises(DocumentFormatError):
             deserialize(doc)
 
     def test_unknown_bit_field_rejected(self):
-        doc = serialize(synthesize([T("C(*,*,*)")]))
+        doc = json.loads(to_json(synthesize([T("C(*,*,*)")])))
         doc["entries"][0]["bits"] = [{"shape": "chain", "labels": ["R", "R"], "x": 1}]
         with pytest.raises(DocumentFormatError):
             deserialize(doc)
@@ -277,7 +277,7 @@ class TestSerialization:
         bits = desc.entries["C(*,*,*)"].bits
         assert bits == (chain_bit(EMPTY_ONLY_IDEAL, EMPTY_ONLY_IDEAL), chain_bit(VOID_IDEAL, R))
         assert validate(desc) == []
-        assert serialize(desc) == doc
+        assert json.loads(to_json(desc)) == doc
 
     def test_duplicate_entry_rejected(self):
         doc = {
@@ -295,7 +295,8 @@ class TestSerialization:
         tables += [synthesize(terms) for terms in seeded_sets()]
         for desc in tables:
             text = to_json(desc)
-            assert text == json.dumps(serialize(desc), indent=2) + "\n"
+            assert text == json.dumps(json.loads(text), indent=2) + "\n"
+            assert from_json(text) == desc
             assert to_json(from_json(text)) == text
 
     def test_writer_lays_out_empty_lists(self):

@@ -7,7 +7,8 @@ Core claims:
       five-component antichain sum verifies
     - member prints true/false, also on flat terms of 1,200 parts;
       enumerate lists canonical terms
-    - show pretty-prints entries with ranks, and rejects an invalid
+    - show pretty-prints entries with ranks, also tables deeper than the
+      interpreter's recursion limit, and rejects an invalid
       document with exit 2, as verify --doc does, one with an entry for
       the improper ideal or a label that is no canonical ideal key
       among them; the leaf labels ``0`` and ``*`` still load
@@ -35,6 +36,11 @@ from spdesc import cli, from_json, synth
 from spdesc.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def chain(k):
+    """The text of the chain of ``k`` points."""
+    return "C(" + ",".join(["*"] * k) + ")"
 
 
 # A document whose one entry is the improper ideal of all SP orders.
@@ -257,6 +263,41 @@ class TestShow:
         assert text.startswith("root C(*,A(*,*),*)")
         assert "entry A(*,*)  (rank 1)" in text
         assert "entry C(*,A(*,*),*)  (rank 3)" in text
+
+    def test_entries_ranked_past_the_recursion_limit(self, tmp_path, capsys):
+        # Each C(*^k), k = 3..1100, builds on C(*^(k-1)), so the root's
+        # rank is deeper than the interpreter's recursion limit.
+        entries = [{"ideal": [chain(2)], "bits": [{"shape": "antichain", "labels": ["R", "R"]}]}]
+        entries += [
+            {"ideal": [chain(k)], "bits": [{"shape": "chain", "labels": [chain(k - 1), "R"]}]}
+            for k in range(3, 1101)
+        ]
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps({"root": chain(1100), "entries": entries}))
+        assert main(["show", str(doc)]) == 0
+        text = capsys.readouterr().out
+        assert text.count("\nentry ") == 1099
+        assert f"\nentry {chain(1100)}  (rank 1099)\n" in text
+
+    def test_first_key_deeper_than_the_recursion_limit(self, tmp_path, capsys):
+        # The chains, A(*,*), sort first and label the chains of fewer
+        # than 1100 points; each of those labels the next shorter ones,
+        # so validation walks 1,099 entries deep from its first key.
+        def key(k):
+            return "A(*,*)|C(*,*)" if k == 2 else chain(k) + "|A(*,*)"
+
+        entries = [{"ideal": ["A(*,*)"], "bits": [{"shape": "chain", "labels": [key(1100), "R"]}]}]
+        entries.append({"ideal": key(2).split("|"), "bits": []})
+        entries += [
+            {"ideal": key(k).split("|"), "bits": [{"shape": "chain", "labels": [key(k - 1), "R"]}]}
+            for k in range(3, 1101)
+        ]
+        doc = tmp_path / "deep.json"
+        doc.write_text(json.dumps({"root": "A(*,*)", "entries": entries}))
+        assert main(["show", str(doc)]) == 0
+        text = capsys.readouterr().out
+        assert text.count("\nentry ") == 1100
+        assert "\nentry A(*,*)  (rank 1099)\n" in text
 
     def test_bad_doc_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,7 +2,8 @@
 
 Core claims:
     - every module of the package except ``__init__.py``, which
-      re-exports, uses each name it imports
+      re-exports, and every module of the test tree uses each name it
+      imports
     - no module binds a name to an empty ``{}``, ``dict()`` or
       ``set()`` but the two intern tables, so memo tables go through
       ``functools.cache`` and can be read and cleared
@@ -27,6 +28,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = sorted(
     path for path in Path(spdesc.__file__).parent.glob("*.py") if path.name != "__init__.py"
 )
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,7 +45,7 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -16,6 +16,10 @@ Core claims:
     - verify_equivalence reports equality for honest pipelines and
       witnesses for corrupted descriptions
     - diamond_free_shape matches diamond-freeness exactly on small terms
+    - the materialized relation masks are valid partial orders with no
+      induced N; the at-or-below masks transpose the at-or-above ones,
+      each incomparable mask complements their union less the point,
+      and the two pair counts are the masks' popcounts
 """
 
 import inspect
@@ -40,7 +44,6 @@ from spdesc import (
     verify_equivalence,
 )
 from spdesc.bits import make_entry
-from spdesc.terms import to_relation
 
 from reference_diamond import diamond_free_shape
 
@@ -74,11 +77,11 @@ def T(s):
 def permutation_embed(p, q) -> bool:
     """Whether some injective map of ``p``'s points into ``q``'s, tried
     in full one by one, preserves and reflects the order."""
-    rp, rq = to_relation(p), to_relation(q)
-    pairs = [(a, b) for a in range(rp.n) for b in range(rp.n)]
+    up_p, up_q = oracle._relation_masks(p)[0], oracle._relation_masks(q)[0]
+    pairs = [(a, b) for a in range(len(up_p)) for b in range(len(up_p))]
     return any(
-        all((rp.leq[a] >> b & 1) == (rq.leq[image[a]] >> image[b] & 1) for a, b in pairs)
-        for image in permutations(range(rq.n), rp.n)
+        all((up_p[a] >> b & 1) == (up_q[image[a]] >> image[b] & 1) for a, b in pairs)
+        for image in permutations(range(len(up_q)), len(up_p))
     )
 
 
@@ -86,6 +89,89 @@ def filtered_pair_by_pair(forbidden, n):
     """The avoiders as the host-outer filter that tests every pattern
     against each host in turn."""
     return [t for t in enumerate_sp(n) if all(not brute_embed(f, t) for f in forbidden)]
+
+
+def has_induced_n(up) -> bool:
+    """Whether the order with at-or-above masks ``up`` has four points
+    a < b, c < d, c < b with all other pairs incomparable."""
+    n = len(up)
+    lt = [[i != j and up[i] >> j & 1 for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                for d in range(n):
+                    if len({a, b, c, d}) < 4:
+                        continue
+                    if (
+                        lt[a][b]
+                        and lt[c][d]
+                        and lt[c][b]
+                        and not (lt[a][c] or lt[c][a])
+                        and not (lt[a][d] or lt[d][a])
+                        and not (lt[b][d] or lt[d][b])
+                        and not lt[b][a]
+                        and not lt[d][c]
+                        and not lt[b][c]
+                    ):
+                        return True
+    return False
+
+
+class TestRelations:
+    def test_two_chain(self):
+        up = oracle._relation_masks(T("C(*,*)"))[0]
+        assert len(up) == 2
+        assert up[0] >> 1 & 1 and not up[1] >> 0 & 1
+
+    def test_two_antichain(self):
+        up = oracle._relation_masks(T("A(*,*)"))[0]
+        assert len(up) == 2
+        assert not up[0] >> 1 & 1 and not up[1] >> 0 & 1
+
+    def test_diamond(self):
+        up = oracle._relation_masks(T(DIAMOND))[0]
+        assert len(up) == 4
+        lt = lambda i, j: i != j and up[i] >> j & 1
+        bottom, m1, m2, top = 0, 1, 2, 3
+        assert lt(bottom, m1) and lt(bottom, m2) and lt(bottom, top)
+        assert lt(m1, top) and lt(m2, top)
+        assert not lt(m1, m2) and not lt(m2, m1)
+
+    def test_valid_partial_orders_up_to_size_6(self):
+        for t in enumerate_sp(6):
+            up = oracle._relation_masks(t)[0]
+            assert len(up) == t.n_points
+            for i in range(len(up)):
+                assert up[i] >> i & 1  # reflexive
+                for j in range(len(up)):
+                    if i != j and up[i] >> j & 1:
+                        assert not up[j] >> i & 1  # antisymmetric
+                        for k in range(len(up)):
+                            if up[j] >> k & 1:
+                                assert up[i] >> k & 1  # transitive
+
+    def test_n_free_up_to_size_6(self):
+        for t in enumerate_sp(6):
+            assert not has_induced_n(oracle._relation_masks(t)[0]), t
+
+    def test_below_masks_transpose_the_above_masks_up_to_size_6(self):
+        for t in enumerate_sp(6):
+            up, down = oracle._relation_masks(t)[:2]
+            points = range(len(up))
+            assert all(down[j] >> i & 1 == up[i] >> j & 1 for i in points for j in points), t
+
+    def test_incomparable_masks_complement_both_up_to_size_6(self):
+        for t in enumerate_sp(6):
+            up, down, incomp = oracle._relation_masks(t)[:3]
+            full = (1 << len(up)) - 1
+            for i in range(len(up)):
+                assert incomp[i] == full & ~(up[i] | down[i]) & ~(1 << i), t
+
+    def test_pair_counts_are_popcounts_up_to_size_6(self):
+        for t in enumerate_sp(6):
+            up, _, incomp, comparable, incomparable = oracle._relation_masks(t)
+            assert comparable == sum(row.bit_count() - 1 for row in up), t
+            assert 2 * incomparable == sum(row.bit_count() for row in incomp), t
 
 
 class TestBruteEmbed:

@@ -543,7 +543,6 @@ CACHES = [
     "spdesc.terms._deletions",
     "spdesc.terms._embeds",
     "spdesc.terms._placeable",
-    "spdesc.terms._relation",
     "spdesc.terms._signature",
     "spdesc.terms._terms_of_size",
 ]

@@ -19,8 +19,6 @@ Core claims:
     - enumeration is one-per-isomorphism-class with the expected small
       counts, it agrees with the closure enumeration of the test
       tree, and it refuses sizes past its cap before building anything
-    - materialized relations are valid partial orders and contain no
-      induced N
 """
 
 import random
@@ -48,7 +46,6 @@ from spdesc.terms import (
     antichain_splits,
     finest_antichain_rep,
     one_point_deletions,
-    to_relation,
 )
 
 from reference_diamond import finest_chain_rep
@@ -428,69 +425,6 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match="cap of 11 points"):
             enumerate_sp(12)
         assert terms._terms_of_size.cache_info().currsize == levels
-
-
-def _has_induced_n(rel):
-    # a < b, c < d, c < b, all other pairs incomparable
-    n = rel.n
-    lt = [[i != j and rel.leq[i] >> j & 1 for j in range(n)] for i in range(n)]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for d in range(n):
-                    if len({a, b, c, d}) < 4:
-                        continue
-                    if (
-                        lt[a][b]
-                        and lt[c][d]
-                        and lt[c][b]
-                        and not (lt[a][c] or lt[c][a])
-                        and not (lt[a][d] or lt[d][a])
-                        and not (lt[b][d] or lt[d][b])
-                        and not lt[b][a]
-                        and not lt[d][c]
-                        and not lt[b][c]
-                    ):
-                        return True
-    return False
-
-
-class TestRelations:
-    def test_two_chain(self):
-        rel = to_relation(T("C(*,*)"))
-        assert rel.n == 2
-        assert rel.leq[0] >> 1 & 1 and not rel.leq[1] >> 0 & 1
-
-    def test_two_antichain(self):
-        rel = to_relation(T("A(*,*)"))
-        assert rel.n == 2
-        assert not rel.leq[0] >> 1 & 1 and not rel.leq[1] >> 0 & 1
-
-    def test_diamond(self):
-        rel = to_relation(T("C(*,A(*,*),*)"))
-        assert rel.n == 4
-        lt = lambda i, j: i != j and rel.leq[i] >> j & 1
-        bottom, m1, m2, top = 0, 1, 2, 3
-        assert lt(bottom, m1) and lt(bottom, m2) and lt(bottom, top)
-        assert lt(m1, top) and lt(m2, top)
-        assert not lt(m1, m2) and not lt(m2, m1)
-
-    def test_valid_partial_orders_up_to_size_6(self):
-        for t in enumerate_sp(6):
-            rel = to_relation(t)
-            assert rel.n == t.n_points
-            for i in range(rel.n):
-                assert rel.leq[i] >> i & 1  # reflexive
-                for j in range(rel.n):
-                    if i != j and rel.leq[i] >> j & 1:
-                        assert not rel.leq[j] >> i & 1  # antisymmetric
-                        for k in range(rel.n):
-                            if rel.leq[j] >> k & 1:
-                                assert rel.leq[i] >> k & 1  # transitive
-
-    def test_n_free_up_to_size_6(self):
-        for t in enumerate_sp(6):
-            assert not _has_induced_n(to_relation(t)), t
 
 
 class TestSmartConstructors:
