@@ -65,7 +65,7 @@ def label_sort_key(label):
     return (1, label.key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bit:
     """Two-point labeled chain or antichain.
 
@@ -94,7 +94,7 @@ def bit_sort_key(bit: Bit):
     return (0 if bit.shape == CHAIN_SHAPE else 1, label_sort_key(bit.first), label_sort_key(bit.second))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Entry:
     ideal: Ideal
     bits: tuple[Bit, ...]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack
 
 from .bits import (
     DocumentFormatError,
@@ -74,15 +75,18 @@ _PARSER = _build_parser()
 def _cmd_describe(args) -> int:
     terms = load_obstruction_file(args.file)
     desc = synthesize(terms)
-    text = to_json(desc)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # Every text is rendered and every file opened before the first byte
+    # is written, so a refused output leaves stdout empty; --dot opens
+    # first, so a bad --dot leaves --out untouched.
+    writes = [(args.dot, to_dot(desc))] if args.dot else []
+    writes.append((args.out, to_json(desc)))
+    with ExitStack() as stack:
+        handles = [
+            stack.enter_context(open(path, "w", encoding="utf-8")) if path else sys.stdout
+            for path, _ in writes
+        ]
+        for fh, (_, text) in zip(handles, writes):
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(desc))
     return 0
 
 

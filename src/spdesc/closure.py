@@ -80,7 +80,7 @@ from .terms import (
 MAX_GENERATED_TERMS = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeneratedSet:
     """Terms of size <= bound generated by one entry's bit set."""
 

@@ -160,7 +160,7 @@ def avoiders_upto(forbidden, n: int) -> list[SpTerm]:
     return hosts
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquivalenceReport:
     """Outcome of comparing a description's generated set against the
     directly enumerated ideal, with witnesses on both sides."""

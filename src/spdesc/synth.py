@@ -26,6 +26,13 @@ entry's ideal are rewritten to the self reference ``R``; every
 remaining ideal label is then strictly contained in its entry's ideal,
 which is what makes the recursion terminate.
 
+An entry depends only on its ideal, and the same small ideals recur in
+the tables of many obstruction sets, so each entry is memoized for the
+life of the process on the interned ``Ideal`` (``_entry``), across
+calls.  Entries are frozen and their labels interned, so tables share
+them safely.  A refusal raises out of the memo and caches nothing: the
+same input is refused again on the next call.
+
 Both products run through one pruned fold.  A partial outcome is a pair
 of cell ideals, starting as the entry's ideal twice; each choice (the
 rules of one forbidden chain sum, or the two sides of one split of a
@@ -66,7 +73,9 @@ pairs carried, which ``MAX_FOLD_PAIRS`` bounds, can fall.
 
 from __future__ import annotations
 
-from .bits import Bit, R, StructuralDescription, antichain_bit, chain_bit, make_entry
+from functools import cache
+
+from .bits import Bit, Entry, R, StructuralDescription, antichain_bit, chain_bit, make_entry
 from .ideals import Ideal, contains_ideal, make_ideal
 from .terms import (
     ANTICHAIN,
@@ -279,11 +288,12 @@ def synthesize(forbidden) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
     The root entry gets the dispatch's bit set; every distinct ideal
-    label is then synthesized recursively (memoized by ideal key) and
-    stays in the bits as the ideal itself.  Labels always shrink
-    strictly, so the recursion bottoms out; a violation raises
-    ``StrictDecreaseError`` before recursing, since it would mean the
-    construction is wrong.
+    label is then synthesized recursively and stays in the bits as the
+    ideal itself.  Each entry is built once per process and memoized on
+    its interned ideal, so a table reuses the entries of every table
+    synthesized before it.  Labels always shrink strictly, so the
+    recursion bottoms out; a violation raises ``StrictDecreaseError``
+    before recursing, since it would mean the construction is wrong.
     """
     ideal = make_ideal(forbidden)
     if ideal.is_improper:
@@ -301,18 +311,28 @@ def synthesize(forbidden) -> StructuralDescription:
     def build(target: Ideal) -> None:
         if target.key in entries:
             return
-        assert target.is_nontrivial_proper, target
-        chains = [t for t in target.obstructions if t.kind == CHAIN]
-        ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
-        bits = chain_bit_set_multi(chains, target) + antichain_bit_set(ants, target)
-        for label in dict.fromkeys(x for bit in bits for x in (bit.first, bit.second)):
+        entry = _entry(target)
+        for label in dict.fromkeys(x for bit in entry.bits for x in (bit.first, bit.second)):
             if label is not R:
-                if label is target or not contains_ideal(target, label):
-                    raise StrictDecreaseError(
-                        f"label {label.key!r} is not strictly contained in {target.key!r}"
-                    )
                 build(label)
-        entries[target.key] = make_entry(target, bits)
+        entries[target.key] = entry
 
     build(ideal)
     return StructuralDescription(ideal.key, entries)
+
+
+@cache
+def _entry(target: Ideal) -> Entry:
+    """The entry of one nontrivial proper ideal: the union of its chain
+    and antichain bit sets, each distinct label checked to be strictly
+    contained in ``target``.  A refusal raises and caches nothing."""
+    assert target.is_nontrivial_proper, target
+    chains = [t for t in target.obstructions if t.kind == CHAIN]
+    ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
+    bits = chain_bit_set_multi(chains, target) + antichain_bit_set(ants, target)
+    for label in dict.fromkeys(x for bit in bits for x in (bit.first, bit.second)):
+        if label is not R and (label is target or not contains_ideal(target, label)):
+            raise StrictDecreaseError(
+                f"label {label.key!r} is not strictly contained in {target.key!r}"
+            )
+    return make_entry(target, bits)

@@ -1,7 +1,8 @@
 """Command-line front end tests.
 
 Core claims:
-    - describe emits a deterministic JSON document (and optional DOT)
+    - describe emits a deterministic JSON document (and optional DOT);
+      an unwritable --dot exits 2 with nothing written to stdout or --out
     - verify exits 0 on equality and 1 on mismatch, with witness lines;
       an invalid or foreign --doc exits 2; a layer forbidding a
       five-component antichain sum verifies
@@ -84,6 +85,18 @@ class TestDescribe:
         assert doc["root"] == "C(*,*,*)"
         assert dot.read_text().startswith("digraph")
 
+    def test_unwritable_dot_writes_nothing(self, obstruction_file, tmp_path, capsys):
+        path = obstruction_file("c3.txt", "C(*,*,*)\n")
+        dot = str(tmp_path / "missing" / "x.dot")
+        assert main(["describe", path, "--dot", dot]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+        out = tmp_path / "doc.json"
+        assert main(["describe", path, "--out", str(out), "--dot", dot]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_trivial_ideal_exits_2(self, obstruction_file, capsys):
         path = obstruction_file("point.txt", "*\n")
         assert main(["describe", path]) == 2
@@ -106,6 +119,8 @@ class TestDescribe:
 
     def test_outcome_budget_exits_2(self, obstruction_file, capsys, monkeypatch):
         path = obstruction_file("w4.txt", "A(*,C(*,*),C(*,*,*),C(*,A(*,*)))\n")
+        # Entries memoized by an earlier describe would skip their folds.
+        synth._entry.cache_clear()
         monkeypatch.setattr(synth, "MAX_FOLD_PAIRS", 4)
         assert main(["describe", path]) == 2
         captured = capsys.readouterr()

@@ -7,6 +7,9 @@ Core claims:
     - no module binds a name to an empty ``{}``, ``dict()`` or
       ``set()`` but the two intern tables, so memo tables go through
       ``functools.cache`` and can be read and cleared
+    - every dataclass of the package is declared with ``slots=True``:
+      the entry memo keeps every ``Bit`` and ``Entry`` for the life of
+      the process
     - no public name of a module is a ``functools`` cache wrapper, which
       the benchmark's tracer, wrapping plain functions only, would skip
     - the README's Library example runs on the package's exports and
@@ -96,6 +99,43 @@ def test_empty_table_is_found():
         "NAMES = {'a': 1}\n\ndef f():\n    memo = {}\n"
     )
     assert empty_tables(source) == ["_SUB_CACHE", "_SEEN", "_BY_KEY"]
+
+
+def unslotted_dataclasses(source: str) -> list[str]:
+    """Classes of the module decorated with ``dataclass`` without
+    ``slots=True``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            name = call.func if call else deco
+            if getattr(name, "id", getattr(name, "attr", None)) != "dataclass":
+                continue
+            slotted = call is not None and any(
+                kw.arg == "slots" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+                for kw in call.keywords
+            )
+            if not slotted:
+                found.append(node.name)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_dataclasses_are_slotted(path):
+    assert unslotted_dataclasses(path.read_text(encoding="utf-8")) == []
+
+
+def test_unslotted_dataclass_is_found():
+    source = (
+        "@dataclass\nclass A:\n    x: int\n\n"
+        "@dataclass(frozen=True)\nclass B:\n    x: int\n\n"
+        "@dataclasses.dataclass(slots=False)\nclass C:\n    x: int\n\n"
+        "@dataclass(frozen=True, slots=True)\nclass D:\n    x: int\n\n"
+        "@functools.total_ordering\nclass E:\n    pass\n"
+    )
+    assert unslotted_dataclasses(source) == ["A", "B", "C"]
 
 
 def public_cache_wrappers(module) -> list[str]:

@@ -24,6 +24,11 @@ Core claims:
     - the mask fold gives the same pairs in the same order as a fold
       over interned ideals, straight and crosswise, on every entry of
       the seeded sets and of the pinned tables
+    - entries are memoized across calls: tables are byte-identical
+      whether their entries were built cold or in any order after other
+      tables, a described table folds nothing again, a table sharing
+      entries with one already described folds only its new entries,
+      and a refusal is not memoized
     - every memo cache of the package is pinned by name, fills during
       synthesis and verification, and holds only pure results: cleared,
       it gives byte-identical tables and reports, and the intern tables
@@ -529,9 +534,49 @@ def test_mask_fold_matches_the_ideal_fold():
 
 
 def test_width_6_sum_is_refused_at_the_default_budget():
+    # Refusals are not memoized: the second call folds again and is
+    # refused again.
     assert synth.MAX_FOLD_PAIRS == 1024
-    with pytest.raises(ResourceLimitError, match="more than 1024 cell pairs"):
-        synthesize([T(WIDTH_6)])
+    for _ in range(2):
+        with pytest.raises(ResourceLimitError, match="more than 1024 cell pairs"):
+            synthesize([T(WIDTH_6)])
+
+
+class TestEntryMemo:
+    def test_cold_and_warm_tables_are_byte_identical(self):
+        cold = {}
+        for texts in sorted(GOLDEN):
+            synth._entry.cache_clear()
+            cold[texts] = to_json(synthesize([T(s) for s in texts]))
+        for texts in sorted(GOLDEN) + sorted(GOLDEN, reverse=True):
+            assert to_json(synthesize([T(s) for s in texts])) == cold[texts], texts
+
+    def test_a_described_table_folds_nothing(self, monkeypatch):
+        wide = [T("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))")]
+        first = synthesize(wide)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a memoized entry folded again")
+
+        monkeypatch.setattr(synth, "_fold", refuse)
+        assert synthesize(wide) == first
+
+    def test_only_new_entries_fold(self, monkeypatch):
+        synth._entry.cache_clear()
+        first = synthesize([T("C(*,A(*,*))")])
+        folds = []
+        fold = synth._fold
+
+        def counted(*args, **kwargs):
+            folds.append(args[1])
+            return fold(*args, **kwargs)
+
+        monkeypatch.setattr(synth, "_fold", counted)
+        second = synthesize([T("C(*,A(*,*),*)")])
+        new = set(second.entries) - set(first.entries)
+        assert new and set(second.entries) & set(first.entries)
+        # Two folds per new entry: its chain and its antichain bit sets.
+        assert sorted(target.key for target in folds) == sorted(list(new) * 2)
 
 
 # Every memo cache of the package, as ``module.function``: a new memo, or
@@ -540,6 +585,7 @@ CACHES = [
     "spdesc.ideals._members_upto",
     "spdesc.oracle._constraint_rows",
     "spdesc.oracle._relation_masks",
+    "spdesc.synth._entry",
     "spdesc.terms._deletions",
     "spdesc.terms._embeds",
     "spdesc.terms._placeable",
