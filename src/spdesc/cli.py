@@ -12,6 +12,7 @@ verification mismatch, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import ExitStack
 
@@ -73,6 +74,8 @@ _PARSER = _build_parser()
 
 
 def _cmd_describe(args) -> int:
+    if args.out and args.dot and os.path.realpath(args.out) == os.path.realpath(args.dot):
+        raise ValueError(f"--out and --dot name the same file: {args.dot}")
     terms = load_obstruction_file(args.file)
     desc = synthesize(terms)
     # Every text is rendered and every file opened before the first byte

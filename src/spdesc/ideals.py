@@ -3,7 +3,7 @@
 A lower ideal is a class of SP orders closed under taking suborders.  We
 represent an ideal by the finite antichain of its minimal forbidden
 suborders: an order belongs to the ideal iff no obstruction embeds into
-it.  Two degenerate representations matter throughout:
+it.  Three degenerate representations matter throughout:
 
 * obstruction set ``{0}`` is the void ideal (nothing belongs to it,
   since the empty order embeds everywhere);

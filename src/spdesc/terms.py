@@ -232,7 +232,9 @@ def finest_antichain_rep(t: SpTerm) -> list[SpTerm]:
 # antichain sum only inside one component; an antichain sum is
 # anticonnected, so it embeds into a chain sum only inside one layer.
 # Chain into chain assigns consecutive blocks of the smaller order's
-# layers to layers of the larger one, in order.
+# layers to layers of the larger one, in order, and one greedy pass
+# decides it: each layer of the larger order takes the longest block of
+# the remaining layers that fits, which never loses an embedding.
 #
 # Antichain into antichain: the components of the smaller order p are
 # connected, so each lands inside one component of the larger order q,
@@ -276,37 +278,23 @@ def _embeds(p: SpTerm, q: SpTerm) -> bool:
 
 
 def _chain_in_chain(pparts, qparts) -> bool:
-    # Layers i.. of p embed into layers j.. of q, blocks in order, iff
-    # j <= last[i]: the highest layer of q that can take a block starting
-    # at layer i, the rest going above it (-1 when none can).  Each
-    # last[i] reads only those above it, so no call recurses, and fewer
-    # layers of p embed more easily, so once one is -1 all below it are.
-    # Dropping layer i from a block at layer j of q leaves layers i+1..
-    # embedded from layer j on, so last[i] <= last[i + 1].
-    n, m = len(pparts), len(qparts)
-    ptail = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        ptail[i] = ptail[i + 1] + pparts[i].n_points
-    qtail = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        qtail[j] = qtail[j + 1] + qparts[j].n_points
-    last = [-1] * n + [m]
-    for i in range(n - 1, -1, -1):
-        for j in range(min(m - 1, last[i + 1]), -1, -1):
-            if ptail[i] > qtail[j]:
-                continue
-            for l in range(i, n):
-                # A failing block only grows worse when extended.
-                if not is_suborder(chain_sum(pparts[i : l + 1]), qparts[j]):
-                    break
-                if last[l + 1] > j:
-                    last[i] = j
-                    break
-            if last[i] >= 0:
-                break
-        if last[i] < 0:
-            return False
-    return True
+    # Each layer of q, bottom to top, takes the longest block of p's
+    # remaining layers that embeds into it.  The blocks that fit one layer
+    # are the prefixes up to the longest, since a shorter block is a
+    # suborder of a longer one.  Whatever a shorter block leaves for the
+    # layers above, the longest leaves a suffix of it, and a suffix embeds
+    # wherever the whole remainder does; so taking the longest block never
+    # loses an embedding.  Each test either extends the block or moves on
+    # to the next layer, so a call makes at most len(p) + len(q) tests.
+    taken, n = 0, len(pparts)
+    for layer in qparts:
+        end = taken
+        while end < n and is_suborder(chain_sum(pparts[taken : end + 1]), layer):
+            end += 1
+        if end == n:
+            return True
+        taken = end
+    return False
 
 
 def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:

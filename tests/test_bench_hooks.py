@@ -4,6 +4,8 @@ Core claims:
     - every function the benchmark's tracer times or counts is a public
       function of its module, so the tracer wraps it; a renamed or
       privatized function would otherwise read 0 on its per-layer metric
+    - the bit-set builders whose bits ``synth.candidate_bits`` counts are
+      listed for the tracer and are public functions of ``spdesc.synth``
     - every name the benchmark's workloads import from the package is in
       ``spdesc.__all__`` and bound on the package, and ``__all__`` lists
       each name once
@@ -36,6 +38,17 @@ def test_timed_and_counted_names_are_wrapped_public_functions():
         module = importlib.import_module(f"spdesc.{layer}")
         assert name in dict(tracing.public_functions(module)), qual
         assert name not in tracing.UNWRAPPED.get(layer, ()), qual
+
+
+def test_candidate_builders_are_public_synth_functions():
+    # ``synth.candidate_bits`` counts the bits these builders return.  The
+    # set may name a builder that no longer exists, so only the live ones
+    # are required.
+    tracing = _tracing()
+    public = dict(tracing.public_functions(importlib.import_module("spdesc.synth")))
+    for name in ("chain_bit_set_multi", "antichain_bit_set"):
+        assert f"synth.{name}" in tracing.CANDIDATE_BUILDERS, name
+        assert name in public, name
 
 
 def test_workload_imports_are_package_exports():

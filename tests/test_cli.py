@@ -2,7 +2,8 @@
 
 Core claims:
     - describe emits a deterministic JSON document (and optional DOT);
-      an unwritable --dot exits 2 with nothing written to stdout or --out
+      an unwritable --dot exits 2 with nothing written to stdout or --out,
+      and so do --out and --dot naming one file
     - verify exits 0 on equality and 1 on mismatch, with witness lines;
       an invalid or foreign --doc exits 2; a layer forbidding a
       five-component antichain sum verifies
@@ -96,6 +97,20 @@ class TestDescribe:
         assert main(["describe", path, "--out", str(out), "--dot", dot]) == 2
         assert capsys.readouterr().out == ""
         assert not out.exists()
+
+    def test_out_and_dot_naming_one_file_exit_2(self, obstruction_file, tmp_path, capsys):
+        # The DOT text used to overwrite the start of the JSON document.
+        path = obstruction_file("diamond.txt", "C(*,A(*,*),*)\n")
+        doc = tmp_path / "doc.json"
+        assert main(["describe", path, "--out", str(doc), "--dot", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "same file" in captured.err
+        assert not doc.exists()
+        doc.write_text("kept", encoding="utf-8")
+        other = os.path.join(str(tmp_path), ".", "doc.json")
+        assert main(["describe", path, "--out", other, "--dot", str(doc)]) == 2
+        assert doc.read_text(encoding="utf-8") == "kept"
 
     def test_trivial_ideal_exits_2(self, obstruction_file, capsys):
         path = obstruction_file("point.txt", "*\n")

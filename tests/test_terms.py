@@ -9,8 +9,10 @@ Core claims:
     - the suborder test matches its case rules and is a partial order,
       needs few recursive calls on two wide antichain sums of distinct
       components, matches the direct search of the test tree on
-      antichain sums past the oracle's size guard, answers flat sums of
-      hundreds of points, and refuses a pattern past its code budget
+      antichain and chain sums past the oracle's size guard, answers
+      flat sums and chains of hundreds of points, one block test per
+      layer of either chain at most, and refuses a pattern past its code
+      budget
     - antichain_splits lists each sub-multiset of the components once,
       in product order, and its per-run copy bounds only filter that
       list
@@ -283,6 +285,71 @@ class TestSuborder:
                 assert verdict == embeds(p, q), (p, q)
                 verdicts.append(verdict)
         assert min(verdicts.count(True), verdicts.count(False)) > 100
+
+    def test_matches_the_reference_search_on_large_chain_hosts(self):
+        # Each host holds the pattern's layers, some grown by a point and
+        # some consecutive pairs merged into one layer, which may or may
+        # not hold their chain sum, plus a few other layers; most hosts
+        # then lose a layer.  Every host is past the oracle's size guard.
+        rng = random.Random("chain-hosts")
+        small = [t for t in enumerate_sp(4) if t.kind != CHAIN and t is not EMPTY]
+        verdicts = []
+        while len(verdicts) < 1000:
+            layers = [rng.choice(small) for _ in range(rng.randint(2, 8))]
+            host, i = [], 0
+            while i < len(layers):
+                x, pick = layers[i], rng.random()
+                if pick < 0.3 and i + 1 < len(layers):
+                    y = layers[i + 1]
+                    merged = chain_sum([x, y]) if rng.random() < 0.7 else antichain_sum([x, y])
+                    host.append(antichain_sum([merged, rng.choice(small)]))
+                    i += 1
+                elif pick < 0.6:
+                    host.append(antichain_sum([x, POINT]))
+                else:
+                    host.append(x)
+                i += 1
+            for _ in range(rng.randint(0, 3)):
+                host.insert(rng.randint(0, len(host)), rng.choice(small))
+            for _ in range(rng.choice([0, 1, 1, 2])):
+                if len(host) > 1:
+                    host.pop(rng.randrange(len(host)))
+            p, q = chain_sum(layers), chain_sum(host)
+            if q.kind == CHAIN and q.n_points > MAX_BRUTE_POINTS:
+                verdict = is_suborder(p, q)
+                assert verdict == embeds(p, q), (p, q)
+                verdicts.append(verdict)
+        assert min(verdicts.count(True), verdicts.count(False)) > 100
+
+    def test_long_chains(self, monkeypatch):
+        def chain(n):
+            return chain_sum([POINT] * n)
+
+        assert is_suborder(chain(700), chain(1200))
+        assert not is_suborder(chain(700), chain(699))
+        holds_two = T("A(C(*,*),*)")  # holds a chain of two points
+        assert is_suborder(chain(700), chain_sum([holds_two] * 350))
+        assert not is_suborder(chain(700), chain_sum([holds_two] * 349 + [POINT]))
+        # A block of two or more layers of the pattern has more points
+        # than any host layer, so every counted call is one block test.
+        pair = T("A(*,*)")
+        p = chain_sum([POINT, pair] * 150)
+        rng = random.Random("long-chains")
+        calls = 0
+        plain = terms.is_suborder
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return plain(a, b)
+
+        monkeypatch.setattr(terms, "is_suborder", counted)
+        for share, verdict in ((0.5, True), (0.2, False)):
+            q = chain_sum([pair if rng.random() < share else POINT for _ in range(600)])
+            terms._embeds.cache_clear()
+            calls = 0
+            assert is_suborder(p, q) is verdict
+            assert calls <= 900
 
     def test_long_flat_antichains(self):
         def flat(n):
