@@ -33,7 +33,8 @@ from .terms import (
 class Ideal:
     """A lower ideal as its minimal obstruction antichain.
 
-    Construct only through ``make_ideal``; instances are interned.
+    Construct only through ``make_ideal``, or ``_intern_antichain`` for
+    terms already known to form an antichain; instances are interned.
     """
 
     __slots__ = ("obstructions", "key")
@@ -76,8 +77,14 @@ def make_ideal(obstructions) -> Ideal:
     for t in sorted(set(obstructions), key=lambda t: t.sort_key):
         if not any(is_suborder(s, t) for s in kept):
             kept.append(t)
-    kept.sort(key=lambda t: t.sort_key, reverse=True)
-    obs = tuple(kept)
+    return _intern_antichain(kept)
+
+
+def _intern_antichain(antichain) -> Ideal:
+    """The interned ideal forbidding the given terms, which must already
+    form an antichain under the suborder relation: ``make_ideal``
+    without the minimization."""
+    obs = tuple(sorted(antichain, key=lambda t: t.sort_key, reverse=True))
     ideal = _INTERN.get(obs)
     if ideal is None:
         ideal = _INTERN[obs] = Ideal(obs)

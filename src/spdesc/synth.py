@@ -57,7 +57,32 @@ other's, and meeting a cell with an option is one ``|``.  The universe
 grows one choice at a time, since a sum of w distinct components has
 2^w - 2 two-sided splits and a refused fold reads only the first few: a
 new term joins every live mask that already excludes a term below it.
-Only the surviving pairs are turned back into ideals.
+``grow`` tests a new term against each universe term of another size
+only, the smaller into the larger: an order has at least as many points
+as each of its suborders, and two orders that embed into each other
+have the same size and are isomorphic, so distinct interned terms of one
+size never embed.  Only the surviving pairs are turned back into ideals,
+each distinct mask once per fold.  A mask is decoded to its minimal
+terms, the k with ``down[k] & mask == 1 << k``, and no minimal term
+embeds into another: the other would then have a term of the mask below
+it.  They are an antichain, all of which ``make_ideal`` would keep, so
+they are interned as they are, without minimizing again.
+
+Dominance is tested on one int per pair, the left mask shifted above
+the right (``left << width | right``).  A pair dominates another iff its
+int has no bit outside the other's, or, crosswise, the int of its
+swapped pair has none.  So a dominator has no more bits than the pair it
+dominates, and as many only when the two are twins: equal or swapped
+pairs, which dominate each other.  Dominance is transitive, straight or
+crosswise (two swaps cancel), so a pair dominated by one that is not its
+twin is dominated by a maximal pair, which has fewer bits, and by that
+pair's first twin.  ``_maximal`` visits the pairs by bit count, ties in
+their given order, and keeps a pair unless a pair kept before it
+dominates it; then it restores the given order.  The first twin of every
+maximal pair is kept, since only its later twins dominate it, and every
+other pair is dropped by one of those: the same pairs, in the same
+order, as comparing each new pair with every kept one and keeping the
+first of two twins.
 
 The fold drops every option that forbids an order of fewer than two
 points.  Its cell would be the void ideal, which no order fills, or the
@@ -74,9 +99,10 @@ pairs carried, which ``MAX_FOLD_PAIRS`` bounds, can fall.
 from __future__ import annotations
 
 from functools import cache
+from itertools import islice
 
 from .bits import Bit, Entry, R, StructuralDescription, antichain_bit, chain_bit, make_entry
-from .ideals import Ideal, contains_ideal, make_ideal
+from .ideals import Ideal, _intern_antichain, contains_ideal, make_ideal
 from .terms import (
     ANTICHAIN,
     CHAIN,
@@ -97,7 +123,7 @@ MAX_FOLD_PAIRS = 1 << 10
 # Most choices one fold may read.  A forbidden antichain sum of w
 # distinct components has 2^w - 2 two-sided splits, so width 6 reads 62;
 # a long flat sum ``A(*,...,*)`` of n points reads n - 1, and its table
-# has one entry per shorter flat sum, whose folds cost about n^3 pair
+# has one entry per shorter flat sum, whose folds make about n^3 / 6 mask
 # comparisons each.  The budget turns minutes of synthesis into a clear
 # rejection.
 MAX_FOLD_CHOICES = 1 << 7
@@ -120,15 +146,30 @@ class StrictDecreaseError(SynthesisError):
 # -- The pruned product -------------------------------------------------------
 
 
-def _maximal(pairs, dominates) -> list:
-    """The pairs no other pair dominates, keeping the first of two pairs
-    that dominate each other."""
-    kept: list = []
-    for pair in pairs:
-        if not any(dominates(k, pair) for k in kept):
-            kept = [k for k in kept if not dominates(pair, k)]
-            kept.append(pair)
-    return kept
+def _maximal(pairs, width: int, crosswise: bool = False) -> list:
+    """The mask pairs no other pair dominates, in their given order,
+    keeping the first of two pairs that dominate each other.  A pair
+    dominates another whose masks cover its own, or with ``crosswise``
+    cover them read the other way round; every mask is below ``1 <<
+    width``.  Each pair is tested, as one int, against the pairs kept
+    before it only, visited by bit count: see the module docstring."""
+    pairs = list(pairs)
+    packed = [left << width | right for left, right in pairs]
+    kept: list[int] = []
+    dominators: list[int] = []
+    for i in sorted(range(len(pairs)), key=lambda i: packed[i].bit_count()):
+        outside = ~packed[i]
+        for d in dominators:
+            if not d & outside:
+                break
+        else:
+            kept.append(i)
+            dominators.append(packed[i])
+            if crosswise:
+                left, right = pairs[i]
+                dominators.append(right << width | left)
+    kept.sort()
+    return [pairs[i] for i in kept]
 
 
 def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Ideal, Ideal]]:
@@ -148,8 +189,9 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
 
     Each cell is carried as the mask of the universe terms it excludes,
     bit k standing for ``universe[k]``; see the module docstring for why
-    equal masks are equal ideals.  A cell is decoded by ``make_ideal``
-    on its minimal terms, the k with ``down[k] & mask == 1 << k``."""
+    equal masks are equal ideals.  A cell is decoded by interning its
+    minimal terms, the k with ``down[k] & mask == 1 << k``, which form
+    an antichain."""
     universe: list[SpTerm] = []
     up: dict[SpTerm, int] = {}  # bit i of up[t]: t embeds into universe[i]
     down: list[int] = []  # bit i of down[k]: universe[i] embeds into universe[k]
@@ -159,11 +201,13 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
         terms strictly below it."""
         bit = 1 << len(universe)
         above = below = bit
+        n = term.n_points
         for i, other in enumerate(universe):
-            if is_suborder(other, term):
-                up[other] |= bit
-                below |= 1 << i
-            elif is_suborder(term, other):
+            if other.n_points < n:
+                if is_suborder(other, term):
+                    up[other] |= bit
+                    below |= 1 << i
+            elif other.n_points > n and is_suborder(term, other):
                 down[i] |= bit
                 above |= 1 << i
         universe.append(term)
@@ -182,9 +226,6 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
         for t in terms:
             mask |= up[t]
         return mask
-
-    def straight(big, small):
-        return not (big[0] & ~small[0] or big[1] & ~small[1])
 
     for t in target.obstructions:
         grow(t)
@@ -205,21 +246,19 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
         stepped = dict.fromkeys(
             (left | lm, right | rm) for left, right in pairs for lm, rm in steps
         )
-        pairs = _maximal(stepped, straight)
+        pairs = _maximal(stepped, len(universe))
         if len(pairs) > MAX_FOLD_PAIRS:
             raise ResourceLimitError(
                 f"synthesis keeps more than {MAX_FOLD_PAIRS} cell pairs for one entry"
             )
     if crosswise:
-        pairs = _maximal(
-            pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
-        )
-
-    def ideal(mask):
-        # Interned, so the target's own mask gives the target itself.
-        return make_ideal(t for i, t in enumerate(universe) if down[i] & mask == 1 << i)
-
-    return [(ideal(left), ideal(right)) for left, right in pairs]
+        pairs = _maximal(pairs, len(universe), crosswise=True)
+    # Interned, so the target's own mask gives the target itself.
+    cells = {
+        mask: _intern_antichain(t for i, t in enumerate(universe) if down[i] & mask == 1 << i)
+        for mask in dict.fromkeys(mask for pair in pairs for mask in pair)
+    }
+    return [(cells[left], cells[right]) for left, right in pairs]
 
 
 def _label(ideal: Ideal, target: Ideal):
@@ -256,19 +295,26 @@ def chain_bit_set_multi(ps, target: Ideal) -> list[Bit]:
 # -- Forbidding antichain sums -----------------------------------------------
 
 
-def _split_rules(a: SpTerm):
+@cache
+def _split_rules(a: SpTerm) -> tuple:
     """One choice per two-sided split of a forbidden antichain sum's
     components: forbid the sub-sum over the left side in the left cell,
     or the sub-sum over the right side in the right cell.  Splits that
     differ only in which of several equal components go left give the
     same choice, so each sub-multiset of the components is one split.
     The splits with an empty side are skipped: their only option forbids
-    ``a`` itself, which the target already forbids."""
+    ``a`` itself, which the target already forbids.  At most
+    ``MAX_FOLD_CHOICES + 1`` choices are listed, one more than a fold
+    reads before it refuses, so the 2^w - 2 splits of a wide sum are
+    never all built."""
     if a.kind != ANTICHAIN:
         raise ValueError(f"not an antichain sum: {a!r}")
-    for left, right in antichain_splits(a):
-        if left is not EMPTY and right is not EMPTY:
-            yield [((left,), ()), ((), (right,))]
+    rules = (
+        (((left,), ()), ((), (right,)))
+        for left, right in antichain_splits(a)
+        if left is not EMPTY and right is not EMPTY
+    )
+    return tuple(islice(rules, MAX_FOLD_CHOICES + 1))
 
 
 def antichain_bit_set(ants, target: Ideal) -> list[Bit]:

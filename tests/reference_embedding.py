@@ -37,18 +37,26 @@ def embeds(p, q) -> bool:
 
 def _chain_in_chain(pparts, qparts) -> bool:
     # Consecutive blocks of p's layers go into q's layers, in order.
-    @cache
-    def fits(i, j):
-        if i == len(pparts):
+    # ``reached`` holds every count of p's lowest layers that q's layers
+    # read so far can take.  Each layer of q takes nothing, or a block
+    # starting at a reached count that embeds into it; a longer block has
+    # more points, so the blocks from one start stop at the layer's size.
+    n = len(pparts)
+    reached = {0}
+    for layer in qparts:
+        grown = set(reached)
+        for i in reached:
+            points = 0
+            for l in range(i, n):
+                points += pparts[l].n_points
+                if points > layer.n_points:
+                    break
+                if embeds(chain_sum(pparts[i : l + 1]), layer):
+                    grown.add(l + 1)
+        if n in grown:
             return True
-        if j == len(qparts):
-            return False
-        return fits(i, j + 1) or any(
-            embeds(chain_sum(pparts[i : l + 1]), qparts[j]) and fits(l + 1, j + 1)
-            for l in range(i, len(pparts))
-        )
-
-    return fits(0, 0)
+        reached = grown
+    return False
 
 
 def _antichain_in_antichain(p, qcomps) -> bool:

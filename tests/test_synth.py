@@ -24,6 +24,11 @@ Core claims:
     - the mask fold gives the same pairs in the same order as a fold
       over interned ideals, straight and crosswise, on every entry of
       the seeded sets and of the pinned tables
+    - the maximal-pair filter keeps the same pairs in the same order as
+      a quadratic first-wins filter, straight and crosswise, on seeded
+      mask pairs with ties, repeats and swapped twins
+    - a forbidden sum lists at most one split choice past the fold's
+      choice budget, so twenty distinct components are refused at once
     - entries are memoized across calls: tables are byte-identical
       whether their entries were built cold or in any order after other
       tables, a described table folds nothing again, a table sharing
@@ -62,7 +67,7 @@ from spdesc import (
 from spdesc.bits import R, antichain_bit, chain_bit, make_entry
 from spdesc.ideals import contains_ideal
 from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_multi
-from spdesc.terms import ANTICHAIN, CHAIN
+from spdesc.terms import ANTICHAIN, CHAIN, antichain_splits
 
 from reference_diamond import diamond_free_shape
 
@@ -488,10 +493,53 @@ def test_golden_describe_output(texts):
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[texts]
 
 
+def first_wins_maximal(pairs, dominates):
+    """Reference for ``synth._maximal``: the pairs no other pair
+    dominates, keeping the first of two pairs that dominate each other.
+    Each pair is compared with every pair kept so far, and the kept
+    pairs it dominates are removed."""
+    kept = []
+    for pair in pairs:
+        if not any(dominates(k, pair) for k in kept):
+            kept = [k for k in kept if not dominates(pair, k)]
+            kept.append(pair)
+    return kept
+
+
+def either_way(straight):
+    """Dominance of unordered pairs: ``straight`` either way round."""
+    return lambda big, small: straight(big, small) or straight(big, small[::-1])
+
+
+def mask_straight(big, small):
+    """A pair of masks dominates another whose masks cover its own."""
+    return not (big[0] & ~small[0] or big[1] & ~small[1])
+
+
+@pytest.mark.parametrize("cross", [False, True], ids=["straight", "crosswise"])
+def test_maximal_matches_the_first_wins_filter(cross):
+    # Few bits make many ties in bit count and many dominations; swapped
+    # copies, equal cells and repeats make pairs that dominate each other.
+    rng = random.Random(f"maximal:{cross}")
+    dominates = either_way(mask_straight) if cross else mask_straight
+    dropped_twins = 0
+    for _ in range(600):
+        width = rng.randint(1, 6)
+        pairs = [(rng.getrandbits(width), rng.getrandbits(width)) for _ in range(rng.randint(0, 40))]
+        for left, right in rng.sample(pairs, len(pairs) // 3):
+            pairs.insert(rng.randint(0, len(pairs)), rng.choice([(right, left), (left, left)]))
+        got = synth._maximal(pairs, width, crosswise=cross)
+        assert got == first_wins_maximal(pairs, dominates), (width, pairs)
+        dropped_twins += any((r, l) in pairs and (r, l) not in got for l, r in got if l != r)
+    if cross:
+        assert dropped_twins > 100
+
+
 def ideal_fold(choices, target, *, crosswise=False):
     """Reference for ``synth._fold``: the same pruned product over
     interned ideals, each meet a ``make_ideal`` and each containment a
-    ``contains_ideal``, with no pair budget."""
+    ``contains_ideal``, filtered by ``first_wins_maximal`` with no pair
+    budget."""
 
     def straight(big, small):
         return contains_ideal(big[0], small[0]) and contains_ideal(big[1], small[1])
@@ -504,11 +552,9 @@ def ideal_fold(choices, target, *, crosswise=False):
             for left, right in pairs
             for lt, rt in options
         )
-        pairs = synth._maximal(stepped, straight)
+        pairs = first_wins_maximal(stepped, straight)
     if crosswise:
-        pairs = synth._maximal(
-            pairs, lambda big, small: straight(big, small) or straight(big, small[::-1])
-        )
+        pairs = first_wins_maximal(pairs, either_way(straight))
     return pairs
 
 
@@ -540,6 +586,23 @@ def test_width_6_sum_is_refused_at_the_default_budget():
     for _ in range(2):
         with pytest.raises(ResourceLimitError, match="more than 1024 cell pairs"):
             synthesize([T(WIDTH_6)])
+
+
+def test_split_rules_stop_one_choice_past_the_budget():
+    # A fold refuses on reading choice MAX_FOLD_CHOICES + 1, so a sum's
+    # rules list no more choices than that: the first 129 of the 2^20 - 2
+    # splits of twenty distinct components, which are refused at once.
+    comps = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.kind == CHAIN][:20]
+    wide = antichain_sum(comps)
+    every = (
+        (((left,), ()), ((), (right,)))
+        for left, right in antichain_splits(wide)
+        if left.n_points and right.n_points
+    )
+    assert synth._split_rules(wide) == tuple(itertools.islice(every, 129))
+    assert len(synth._split_rules(T(WIDTH_5))) == 2**5 - 2
+    with pytest.raises(ResourceLimitError):
+        synthesize([wide])
 
 
 class TestEntryMemo:
@@ -586,6 +649,7 @@ CACHES = [
     "spdesc.oracle._constraint_rows",
     "spdesc.oracle._relation_masks",
     "spdesc.synth._entry",
+    "spdesc.synth._split_rules",
     "spdesc.terms._deletions",
     "spdesc.terms._embeds",
     "spdesc.terms._placeable",

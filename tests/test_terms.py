@@ -10,9 +10,9 @@ Core claims:
       needs few recursive calls on two wide antichain sums of distinct
       components, matches the direct search of the test tree on
       antichain and chain sums past the oracle's size guard, answers
-      flat sums and chains of hundreds of points, one block test per
-      layer of either chain at most, and refuses a pattern past its code
-      budget
+      flat sums and chains of hundreds of points, as the direct search
+      does on those chains, one block test per layer of either chain at
+      most, and refuses a pattern past its code budget
     - antichain_splits lists each sub-multiset of the components once,
       in product order, and its per-run copy bounds only filter that
       list
@@ -325,11 +325,16 @@ class TestSuborder:
         def chain(n):
             return chain_sum([POINT] * n)
 
-        assert is_suborder(chain(700), chain(1200))
-        assert not is_suborder(chain(700), chain(699))
         holds_two = T("A(C(*,*),*)")  # holds a chain of two points
-        assert is_suborder(chain(700), chain_sum([holds_two] * 350))
-        assert not is_suborder(chain(700), chain_sum([holds_two] * 349 + [POINT]))
+        hosts = (
+            (chain(1200), True),
+            (chain(699), False),
+            (chain_sum([holds_two] * 350), True),
+            (chain_sum([holds_two] * 349 + [POINT]), False),
+        )
+        for q, verdict in hosts:
+            assert is_suborder(chain(700), q) is verdict
+            assert embeds(chain(700), q) is verdict
         # A block of two or more layers of the pattern has more points
         # than any host layer, so every counted call is one block test.
         pair = T("A(*,*)")
@@ -350,6 +355,7 @@ class TestSuborder:
             calls = 0
             assert is_suborder(p, q) is verdict
             assert calls <= 900
+            assert embeds(p, q) is verdict
 
     def test_long_flat_antichains(self):
         def flat(n):
