@@ -142,7 +142,7 @@ def _cmd_show(args) -> int:
     # Every rank before the first print, in one walk of the table.
     ranks: dict[str, int] = {}
     for key in sorted(desc.entries):
-        _walk_ranks(desc, key, ranks, set())
+        _walk_ranks(desc, key, ranks)
     print(f"root {desc.root}")
     for key in sorted(desc.entries):
         print(f"entry {key}  (rank {ranks[key]})")

@@ -49,12 +49,12 @@ not void and admits the empty order.  Two steps apply the lemma:
 
 1. Part-first rejection: a sum's parts are decided (and cached) before
    any of its splits is built, and one rejected part rejects the sum.
-2. Component admission per antichain bit: a static cell admits a
-   component iff its ideal has it, since the cell's side holds the
-   component as a suborder; after step 1 a self cell admits every
-   proper component.  A component that neither cell admits rules the
-   bit out, and one that only one cell admits goes wholly to that side,
-   so ``antichain_splits`` is given per-run bounds on the left side.
+2. Component admission per antichain bit: a cell's half has each of
+   its components as a suborder, so a cell holds only components it
+   accepts alone (for a self cell by the lemma, the answer cached by
+   step 1).  A component that neither cell accepts rules the bit out,
+   and one that only one cell accepts goes wholly to that side, so
+   ``antichain_splits`` is given per-run bounds on the left side.
 """
 
 from __future__ import annotations
@@ -167,12 +167,6 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
             return decide(half)
         return member(label, half)
 
-    def admits(label, comp: SpTerm, whole: SpTerm) -> bool:
-        # Whether a cell may hold the component on its side of a split.
-        if label is R:
-            return comp is not whole  # every part is accepted by then
-        return member(label, comp)
-
     def built_by(bit, t: SpTerm) -> bool:
         if bit.shape == CHAIN_SHAPE:
             parts = t.children if t.kind == CHAIN else (t,)
@@ -183,8 +177,8 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
             halves = antichain_splits(
                 t,
                 copies=lambda comp, total: (
-                    0 if admits(bit.second, comp, t) else total,
-                    total if admits(bit.first, comp, t) else 0,
+                    0 if accepted(comp, bit.second, t) else total,
+                    total if accepted(comp, bit.first, t) else 0,
                 ),
             )
         return any(accepted(x, bit.first, t) and accepted(y, bit.second, t) for x, y in halves)

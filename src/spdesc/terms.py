@@ -28,7 +28,7 @@ not a memo and is never cleared, since equal terms must stay one object.
 from __future__ import annotations
 
 from functools import cache
-from itertools import groupby
+from itertools import groupby, product
 
 EMPTY_KIND = 0
 POINT_KIND = 1
@@ -320,29 +320,18 @@ def antichain_splits(t: SpTerm, copies=None):
     at all, and none is built.
     """
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
-    low, high = [], []
+    ranges = []
     for comp, total in runs:
         lo, hi = copies(comp, total) if copies else (0, total)
         if lo > hi:
             return
-        low.append(lo)
-        high.append(hi)
-    pick = low.copy()
-    while True:
+        ranges.append(range(lo, hi + 1))
+    for pick in product(*ranges):
         left, right = [], []
         for (comp, total), k in zip(runs, pick):
             left += [comp] * k
             right += [comp] * (total - k)
         yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
-        # Advance the last run that can take one more component; the runs
-        # after it start again from their least.
-        i = len(runs) - 1
-        while i >= 0 and pick[i] == high[i]:
-            pick[i] = low[i]
-            i -= 1
-        if i < 0:
-            return
-        pick[i] += 1
 
 
 def _runs(p: SpTerm):

@@ -4,9 +4,11 @@ Core claims:
     - bits are two-point shapes with antichain labels stored unordered
     - rank is 0 exactly for empty bit sets and otherwise one more than
       the deepest referenced entry
+    - rank raises ValueError on a reference cycle
     - validate reports unresolved labels (the improper ideal among
-      them), non-strict labels, cycles and entries for the improper,
-      void and empty-only ideals, and passes on synthesized tables
+      them), non-strict labels and entries for the improper, void and
+      empty-only ideals, and passes on synthesized tables; every table
+      with a reference cycle has a non-strict label
     - every label other than R is the interned ideal of its entry, or
       one of the two leaf ideals, in synthesized and reloaded tables
     - to_json/deserialize round-trips losslessly, deterministically,
@@ -35,6 +37,7 @@ from spdesc import (
 )
 from spdesc.bits import R, antichain_bit, chain_bit, deserialize, make_entry, to_dot
 from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL
+from test_closure import hand_made_tables
 from test_synth import GOLDEN, seeded_sets
 
 
@@ -51,6 +54,28 @@ def entry_table(*pairs, root=None):
     for ideal, bits in pairs:
         entries[ideal.key] = make_entry(ideal, bits)
     return StructuralDescription(root or pairs[0][0].key, entries)
+
+
+def has_reference_cycle(desc, self_loops=True):
+    """Whether references between the table's entries close a cycle
+    (counting an entry that references itself only with ``self_loops``),
+    found by peeling off entries that reference no entry left."""
+    refs = {
+        key: {
+            label.key
+            for bit in entry.bits
+            for label in (bit.first, bit.second)
+            if label is not R and (self_loops or label.key != key)
+        }
+        for key, entry in desc.entries.items()
+    }
+    while refs:
+        sinks = [key for key, out in refs.items() if not out & refs.keys()]
+        if not sinks:
+            return True
+        for key in sinks:
+            del refs[key]
+    return False
 
 
 class TestBitShapes:
@@ -109,6 +134,19 @@ class TestRank:
         desc = synthesize([T("C(*,A(*,*),*)")])
         assert rank(desc, desc.root) <= len(desc.entries)
 
+    def test_self_reference_raises(self):
+        ideal = I("C(*,*)")
+        desc = entry_table((ideal, [chain_bit(ideal, R)]))
+        with pytest.raises(ValueError, match="cyclic"):
+            rank(desc, desc.root)
+
+    def test_two_entry_cycle_raises(self):
+        a, b = I("C(*,*)"), I("A(*,*)")
+        desc = entry_table((a, [chain_bit(b, R)]), (b, [antichain_bit(a, R)]))
+        for key in desc.entries:
+            with pytest.raises(ValueError, match="cyclic"):
+                rank(desc, key)
+
 
 class TestValidate:
     def test_synthesized_tables_are_valid(self):
@@ -121,7 +159,18 @@ class TestValidate:
         desc = entry_table((ideal, [chain_bit(ideal, R)]))
         problems = validate(desc)
         assert any("not strictly contained" in p for p in problems)
-        assert any("cycle" in p for p in problems)
+
+    def test_every_reference_cycle_has_a_non_strict_label(self):
+        # validate runs no cycle search: ideals shrink strictly along
+        # every reference it passes, so no cycle gets through.
+        cyclic = without_self_loops = 0
+        for seed in range(40):
+            for desc in hand_made_tables(25, seed):
+                if has_reference_cycle(desc):
+                    cyclic += 1
+                    without_self_loops += has_reference_cycle(desc, self_loops=False)
+                    assert any("not strictly contained" in p for p in validate(desc)), desc
+        assert (cyclic, without_self_loops) == (946, 615)
 
     def test_missing_key_is_a_resolution_violation(self):
         desc = entry_table((I("C(*,*)"), [chain_bit(I("A(*,*,*)"), R)]))
