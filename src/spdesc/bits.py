@@ -106,23 +106,16 @@ def make_entry(ideal: Ideal, bits) -> Entry:
     return Entry(ideal, tuple(ordered))
 
 
+@dataclass(frozen=True, slots=True)
 class StructuralDescription:
     """Keyed table of entries plus the root ideal's key.
 
-    After construction the table is immutable and safe for concurrent
-    reads; the membership cache used by the closure module fills in
-    get-or-compute style.
+    The table is a frozen value, safe for concurrent reads: no decision
+    procedure keeps state on it.  ``entries`` is held, not copied.
     """
 
-    def __init__(self, root: str, entries: dict[str, Entry]):
-        self.root = root
-        self.entries = dict(entries)
-        self._topdown_cache: dict = {}
-
-    def __eq__(self, other):
-        if not isinstance(other, StructuralDescription):
-            return NotImplemented
-        return self.root == other.root and self.entries == other.entries
+    root: str
+    entries: dict[str, Entry]
 
     def __repr__(self):
         return f"StructuralDescription(root={self.root!r}, entries={len(self.entries)})"

@@ -31,9 +31,16 @@ bits backwards: a term is generated iff it is the empty or one point
 order, or some bit splits it - a chain bit along a prefix/suffix cut of
 its layers, an antichain bit along a two-way split of its components
 (``terms.antichain_splits``) - with both halves accepted by their
-cells.  Self-labeled halves recurse (a half equal to the whole term is
-skipped; such an application never builds anything new), ideal-labeled
-halves are obstruction checks against the label.
+cells.  Ideal-labeled halves are obstruction checks against the label;
+a self-labeled half equal to the whole term is refused (such an
+application never builds anything new), and any other is decided on
+one explicit stack of frames: a frame yields each term whose verdict it
+still needs and reads it from the memo when resumed.  Every awaited term
+is a part or a self-labeled half, strictly smaller than the term that
+awaits it, so no term is awaited while in progress and no in-progress
+mark is needed.  A verdict depends only on the entry, its ideal and its
+bits (a static half reads its label's ideal, not the table), so the memo
+is one dict per ``Entry`` value, shared by every table that holds it.
 
 It prunes with one lemma: in every table, valid or not, an accepted sum
 has every part accepted, a part being a layer of a chain sum or a
@@ -47,11 +54,12 @@ in that cell's ideal too, and the same bit builds the part alone, with
 the empty order in the other cell: that cell admitted a half, so it is
 not void and admits the empty order.  Two steps apply the lemma:
 
-1. Part-first rejection: a sum's parts are decided (and cached) before
-   any of its splits is built, and one rejected part rejects the sum.
+1. Part-first rejection: a sum's parts are decided (and memoized)
+   before any of its splits is built, and one rejected part rejects the
+   sum.
 2. Component admission per antichain bit: a cell's half has each of
    its components as a suborder, so a cell holds only components it
-   accepts alone (for a self cell by the lemma, the answer cached by
+   accepts alone (for a self cell by the lemma, the verdict memoized by
    step 1).  A component that neither cell accepts rules the bit out,
    and one that only one cell accepts goes wholly to that side, so
    ``antichain_splits`` is given per-run bounds on the left side.
@@ -60,8 +68,9 @@ not void and admits the empty order.  Two steps apply the lemma:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .bits import CHAIN_SHAPE, R, StructuralDescription, UnknownIdealKeyError
+from .bits import CHAIN_SHAPE, R, Entry, StructuralDescription, UnknownIdealKeyError
 from .ideals import Ideal, member, members_upto
 from .terms import (
     EMPTY,
@@ -153,21 +162,28 @@ def generate_upto(desc: StructuralDescription, key: str, n: int) -> GeneratedSet
     return GeneratedSet(n, frozenset().union(*by_size))
 
 
-def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
-    """Decide ``term in generate_upto(desc, key, term.n_points).terms``
-    without materializing the generated set."""
-    if key not in desc.entries:
-        raise UnknownIdealKeyError(key)
-    cache = desc._topdown_cache
+@cache
+def _verdicts(entry: Entry) -> dict:
+    """``member_topdown``'s verdicts on one entry, by term."""
+    return {EMPTY: True, POINT: True}
 
-    def accepted(half: SpTerm, label, whole: SpTerm) -> bool:
+
+def _frame(bits, t: SpTerm, memo: dict):
+    """Decide ``t`` on an entry's bits: yield each term whose verdict
+    ``memo`` lacks, read it from ``memo`` on resuming, return t's."""
+    for part in t.children:
+        if part not in memo:
+            yield part
+        if not memo[part]:
+            return False
+
+    def accepts(label, half):  # half is t or has a verdict in memo
         if label is R:
-            if half is whole:
-                return False  # circular: would rebuild the term from itself
-            return decide(half)
+            return half is not t and memo[half]
         return member(label, half)
 
-    def built_by(bit, t: SpTerm) -> bool:
+    for bit in bits:
+        first, second = bit.first, bit.second
         if bit.shape == CHAIN_SHAPE:
             parts = t.children if t.kind == CHAIN else (t,)
             halves = ((chain_sum(parts[:i]), chain_sum(parts[i:])) for i in range(len(parts) + 1))
@@ -177,27 +193,36 @@ def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
             halves = antichain_splits(
                 t,
                 copies=lambda comp, total: (
-                    0 if accepted(comp, bit.second, t) else total,
-                    total if accepted(comp, bit.first, t) else 0,
+                    0 if accepts(second, comp) else total,
+                    total if accepts(first, comp) else 0,
                 ),
             )
-        return any(accepted(x, bit.first, t) and accepted(y, bit.second, t) for x, y in halves)
+        for x, y in halves:
+            if first is R and x is not t and x not in memo:
+                yield x
+            if accepts(first, x):
+                if second is R and y is not t and y not in memo:
+                    yield y
+                if accepts(second, y):
+                    return True
+    return False
 
-    def decide(t: SpTerm) -> bool:
-        if t is EMPTY or t is POINT:
-            return True
-        ck = (key, t)
-        got = cache.get(ck)
-        if got is not None:
-            return got
-        # Recursion is well-founded: every part and every self-labeled
-        # half is strictly smaller than t, so no in-progress sentinel is
-        # needed.  Parts come first: an accepted sum has every part
-        # accepted.
-        result = all(map(decide, t.children)) and any(
-            built_by(bit, t) for bit in desc.entries[key].bits
-        )
-        cache[ck] = result
-        return result
 
-    return decide(term)
+def member_topdown(desc: StructuralDescription, key: str, term: SpTerm) -> bool:
+    """Decide ``term in generate_upto(desc, key, term.n_points).terms``
+    without materializing the generated set."""
+    entry = desc.entries.get(key)
+    if entry is None:
+        raise UnknownIdealKeyError(key)
+    memo = _verdicts(entry)
+    stack = [] if term in memo else [(term, _frame(entry.bits, term, memo))]
+    while stack:
+        t, frame = stack[-1]
+        try:
+            need = next(frame)
+        except StopIteration as done:
+            memo[t] = done.value
+            stack.pop()
+        else:
+            stack.append((need, _frame(entry.bits, need, memo)))
+    return memo[term]

@@ -17,6 +17,10 @@ Core claims:
       member_topdown prunes with
     - on wide antichain sums member_topdown gives member's verdict on
       the catalog tables and the wide table
+    - member_topdown answers flat terms far past the interpreter's
+      recursion limit from a cold memo, and its memo is keyed on the
+      entry value: neither the key string nor the table object, nor the
+      order of the queries, changes a verdict
 """
 
 import random
@@ -40,7 +44,7 @@ from spdesc import (
     parse_term,
     synthesize,
 )
-from spdesc.bits import R, antichain_bit, chain_bit, make_entry
+from spdesc.bits import R, antichain_bit, chain_bit, from_json, make_entry, to_json
 from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL, contains_ideal, members_upto
 from spdesc.terms import ANTICHAIN
 
@@ -376,3 +380,41 @@ class TestWideSums:
                 assert verdict == member(ideal, t), (texts, t)
                 verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+class TestTopdownMemo:
+    def test_long_flat_terms_from_a_cold_memo(self):
+        # Each prefix of the chain (each shorter flat sum) awaits the
+        # next shorter one, so the frames stand 1,500 deep.
+        for forbidden, combine in (("A(*,*)", chain_sum), ("C(*,*)", antichain_sum)):
+            desc = synthesize([T(forbidden)])
+            t = combine([POINT] * 1500)
+            closure._verdicts.cache_clear()
+            assert member_topdown(desc, desc.root, t) is True
+            assert member(make_ideal([T(forbidden)]), t)
+
+    def test_tables_sharing_a_key_keep_their_own_verdicts(self):
+        ideal = make_ideal([T("C(*,*,*)")])
+        chains = StructuralDescription(ideal.key, {ideal.key: make_entry(ideal, [chain_bit(R, R)])})
+        sums = StructuralDescription(ideal.key, {ideal.key: make_entry(ideal, [antichain_bit(R, R)])})
+        want = {"A(*,*)": [False, True], "C(*,*)": [True, False]}
+        for order in ((0, 1), (1, 0)):
+            closure._verdicts.cache_clear()
+            for text, verdicts in want.items():
+                got = [None, None]
+                for i in order:
+                    got[i] = member_topdown((chains, sums)[i], ideal.key, T(text))
+                assert got == verdicts, (text, order)
+
+    def test_round_tripped_table_shares_the_memo(self):
+        desc = synthesize([T("C(*,A(*,*),*)"), T("A(*,*,*,*)")])
+        terms = enumerate_sp(6)
+        closure._verdicts.cache_clear()
+        want = {key: [member_topdown(desc, key, t) for t in terms] for key in desc.entries}
+        closure._verdicts.cache_clear()
+        copy = from_json(to_json(desc))
+        assert copy is not desc and copy == desc
+        got = {key: [member_topdown(copy, key, t) for t in terms] for key in copy.entries}
+        assert got == want
+        for key, entry in desc.entries.items():
+            assert closure._verdicts(copy.entries[key]) is closure._verdicts(entry)

@@ -35,9 +35,9 @@ Core claims:
       entries with one already described folds only its new entries,
       and a refusal is not memoized
     - every memo cache of the package is pinned by name, fills during
-      synthesis and verification, and holds only pure results: cleared,
-      it gives byte-identical tables and reports, and the intern tables
-      are left alone
+      synthesis, verification and top-down membership, and holds only
+      pure results: cleared, it gives byte-identical tables, reports and
+      verdicts, and the intern tables are left alone
 """
 
 import hashlib
@@ -58,6 +58,7 @@ from spdesc import (
     enumerate_sp,
     generate_upto,
     make_ideal,
+    member_topdown,
     parse_term,
     synthesize,
     to_json,
@@ -645,6 +646,7 @@ class TestEntryMemo:
 # Every memo cache of the package, as ``module.function``: a new memo, or
 # a renamed one, has to be named here.
 CACHES = [
+    "spdesc.closure._verdicts",
     "spdesc.ideals._members_upto",
     "spdesc.oracle._constraint_rows",
     "spdesc.oracle._relation_masks",
@@ -675,9 +677,11 @@ def test_caches_hold_only_pure_results():
 
     def run():
         tables = [to_json(synthesize([T(s) for s in texts])) for texts in sorted(GOLDEN)]
-        report = verify_equivalence(forbidden, synthesize(forbidden), 6)
+        desc = synthesize(forbidden)
+        report = verify_equivalence(forbidden, desc, 6)
         shapes = [diamond_free_shape(t) for t in enumerate_sp(6)]
-        return tables, report, shapes
+        verdicts = [member_topdown(desc, desc.root, t) for t in enumerate_sp(6)]
+        return tables, report, shapes, verdicts
 
     first = run()
     assert sorted(caches) == CACHES
