@@ -78,7 +78,8 @@ from .terms import (
     CHAIN,
     ResourceLimitError,
     SpTerm,
-    antichain_splits,
+    _sorted_antichain_sum,
+    _split_sides,
     antichain_sum,
     chain_sum,
 )
@@ -186,21 +187,27 @@ def _frame(bits, t: SpTerm, memo: dict):
         first, second = bit.first, bit.second
         if bit.shape == CHAIN_SHAPE:
             parts = t.children if t.kind == CHAIN else (t,)
-            halves = ((chain_sum(parts[:i]), chain_sum(parts[i:])) for i in range(len(parts) + 1))
+            build = chain_sum
+            sides = ((parts[:i], parts[i:]) for i in range(len(parts) + 1))
         else:
             # The left side takes every copy the second cell refuses and
             # none that the first cell refuses.
-            halves = antichain_splits(
+            build = _sorted_antichain_sum
+            sides = _split_sides(
                 t,
                 copies=lambda comp, total: (
                     0 if accepts(second, comp) else total,
                     total if accepts(first, comp) else 0,
                 ),
             )
-        for x, y in halves:
+        # Each side is built only when it is read: the right one only
+        # after the first cell accepts the left.
+        for x, y in sides:
+            x = build(x)
             if first is R and x is not t and x not in memo:
                 yield x
             if accepts(first, x):
+                y = build(y)
                 if second is R and y is not t and y not in memo:
                     yield y
                 if accepts(second, y):

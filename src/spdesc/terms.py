@@ -319,6 +319,13 @@ def antichain_splits(t: SpTerm, copies=None):
     bounds are listed; a run whose least exceeds its most leaves no split
     at all, and none is built.
     """
+    for left, right in _split_sides(t, copies):
+        yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
+
+
+def _split_sides(t: SpTerm, copies=None):
+    """``antichain_splits`` before either side is built: each split's
+    left and right components, in order, as two lists."""
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
     ranges = []
     for comp, total in runs:
@@ -331,7 +338,7 @@ def antichain_splits(t: SpTerm, copies=None):
         for (comp, total), k in zip(runs, pick):
             left += [comp] * k
             right += [comp] * (total - k)
-        yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
+        yield left, right
 
 
 def _runs(p: SpTerm):

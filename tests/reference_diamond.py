@@ -9,8 +9,9 @@ relation, so the predicate shares nothing with the suborder test.
 """
 
 from spdesc import EMPTY, chain_sum
-from spdesc.oracle import _relation_masks
 from spdesc.terms import CHAIN, finest_antichain_rep
+
+from oracle_record import relation
 
 
 def _bits(mask: int):
@@ -37,7 +38,7 @@ def _strict_sets_are_chains(t, above: bool) -> bool:
     a forest, or an upside-down forest when ``above``.  Such a set is a
     chain iff none of its members is incomparable to another; the point
     itself, which the masks include, is incomparable to none of them."""
-    ups, downs, incomp = _relation_masks(t)[:3]
+    ups, downs, incomp = relation(t)[:3]
     return not any(
         incomp[x] & related for related in (ups if above else downs) for x in _bits(related)
     )

@@ -17,9 +17,13 @@ Core claims:
       witnesses for corrupted descriptions
     - diamond_free_shape matches diamond-freeness exactly on small terms
     - the materialized relation masks are valid partial orders with no
-      induced N; the at-or-below masks transpose the at-or-above ones,
-      each incomparable mask complements their union less the point,
-      and the two pair counts are the masks' popcounts
+      induced N; no point lies below an earlier-numbered one, each
+      incomparable mask complements the at-or-above and at-or-below
+      masks less the point, and the two pair counts are the masks'
+      popcounts
+    - every cached record is one flat tuple of the two pair counts, the
+      full mask and two masks per point, each mask the shared object of
+      ``oracle._MASKS``
 """
 
 import inspect
@@ -45,6 +49,7 @@ from spdesc import (
 )
 from spdesc.bits import make_entry
 
+from oracle_record import relation
 from reference_diamond import diamond_free_shape
 
 DIAMOND = "C(*,A(*,*),*)"
@@ -77,7 +82,7 @@ def T(s):
 def permutation_embed(p, q) -> bool:
     """Whether some injective map of ``p``'s points into ``q``'s, tried
     in full one by one, preserves and reflects the order."""
-    up_p, up_q = oracle._relation_masks(p)[0], oracle._relation_masks(q)[0]
+    up_p, up_q = relation(p)[0], relation(q)[0]
     pairs = [(a, b) for a in range(len(up_p)) for b in range(len(up_p))]
     return any(
         all((up_p[a] >> b & 1) == (up_q[image[a]] >> image[b] & 1) for a, b in pairs)
@@ -119,17 +124,17 @@ def has_induced_n(up) -> bool:
 
 class TestRelations:
     def test_two_chain(self):
-        up = oracle._relation_masks(T("C(*,*)"))[0]
+        up = relation(T("C(*,*)"))[0]
         assert len(up) == 2
         assert up[0] >> 1 & 1 and not up[1] >> 0 & 1
 
     def test_two_antichain(self):
-        up = oracle._relation_masks(T("A(*,*)"))[0]
+        up = relation(T("A(*,*)"))[0]
         assert len(up) == 2
         assert not up[0] >> 1 & 1 and not up[1] >> 0 & 1
 
     def test_diamond(self):
-        up = oracle._relation_masks(T(DIAMOND))[0]
+        up = relation(T(DIAMOND))[0]
         assert len(up) == 4
         lt = lambda i, j: i != j and up[i] >> j & 1
         bottom, m1, m2, top = 0, 1, 2, 3
@@ -139,7 +144,7 @@ class TestRelations:
 
     def test_valid_partial_orders_up_to_size_6(self):
         for t in enumerate_sp(6):
-            up = oracle._relation_masks(t)[0]
+            up = relation(t)[0]
             assert len(up) == t.n_points
             for i in range(len(up)):
                 assert up[i] >> i & 1  # reflexive
@@ -152,26 +157,50 @@ class TestRelations:
 
     def test_n_free_up_to_size_6(self):
         for t in enumerate_sp(6):
-            assert not has_induced_n(oracle._relation_masks(t)[0]), t
+            assert not has_induced_n(relation(t)[0]), t
 
-    def test_below_masks_transpose_the_above_masks_up_to_size_6(self):
-        for t in enumerate_sp(6):
-            up, down = oracle._relation_masks(t)[:2]
-            points = range(len(up))
-            assert all(down[j] >> i & 1 == up[i] >> j & 1 for i in points for j in points), t
+    def test_no_point_lies_below_an_earlier_one_up_to_size_9(self):
+        # So a compiled pattern relates each point to the earlier ones by
+        # "above" (kind 0) and "incomparable" (kind 1) only, and the
+        # records need no below masks.
+        kinds = [0, 0]
+        for t in enumerate_sp(9):
+            up, _, incomp = relation(t)[:3]
+            rows = oracle._constraint_rows.__wrapped__(t)[2]
+            for i, row in enumerate(rows):
+                assert up[i] & ((1 << i) - 1) == 0, t
+                assert [j for j, _ in row] == list(range(i)), t
+                for j, kind in row:
+                    assert kind == (0 if up[j] >> i & 1 else 1), t
+                    assert incomp[j] >> i & 1 == kind, t
+                    kinds[kind] += 1
+        assert kinds == [221958, 168704]
 
     def test_incomparable_masks_complement_both_up_to_size_6(self):
         for t in enumerate_sp(6):
-            up, down, incomp = oracle._relation_masks(t)[:3]
+            up, down, incomp = relation(t)[:3]
             full = (1 << len(up)) - 1
             for i in range(len(up)):
                 assert incomp[i] == full & ~(up[i] | down[i]) & ~(1 << i), t
 
     def test_pair_counts_are_popcounts_up_to_size_6(self):
         for t in enumerate_sp(6):
-            up, _, incomp, comparable, incomparable = oracle._relation_masks(t)
+            up, _, incomp, comparable, incomparable = relation(t)
             assert comparable == sum(row.bit_count() - 1 for row in up), t
             assert 2 * incomparable == sum(row.bit_count() for row in incomp), t
+
+    def test_records_are_flat_and_share_their_masks_up_to_size_9(self):
+        # The memory budget of the oracle's memo: one record per order, a
+        # flat tuple of the two pair counts, the full mask and two masks
+        # per point, every mask the one object the module table holds.
+        oracle._relation_masks.cache_clear()
+        orders = enumerate_sp(oracle.MAX_BRUTE_POINTS)
+        records = [oracle._relation_masks(t) for t in orders]
+        assert oracle._relation_masks.cache_info().currsize == len(orders)
+        for t, record in zip(orders, records):
+            assert type(record) is tuple and len(record) == 3 + 2 * t.n_points, t
+            assert all(type(mask) is int and mask is oracle._MASKS[mask] for mask in record[2:]), t
+            assert record[2] == (1 << t.n_points) - 1, t
 
 
 class TestBruteEmbed:
@@ -203,7 +232,7 @@ class TestBruteEmbed:
 
     def test_pair_count_refusal_is_sound(self):
         terms = enumerate_sp(6)
-        counts = {t: oracle._relation_masks(t)[3:] for t in terms}
+        counts = {t: relation(t)[3:] for t in terms}
         refused = 0
         for p in terms:
             for q in terms:
@@ -220,9 +249,9 @@ class TestBruteEmbed:
                 assert brute_embed(p, q) == permutation_embed(p, q), (p, q)
 
     def test_pair_counts(self):
-        assert oracle._relation_masks(EMPTY)[3:] == (0, 0)
-        assert oracle._relation_masks(T(DIAMOND))[3:] == (5, 1)
-        assert oracle._relation_masks(T("A(*,*,*,*)"))[3:] == (0, 6)
+        assert relation(EMPTY)[3:] == (0, 0)
+        assert relation(T(DIAMOND))[3:] == (5, 1)
+        assert relation(T("A(*,*,*,*)"))[3:] == (0, 6)
 
 
 class TestAvoiders:
