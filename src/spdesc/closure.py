@@ -62,7 +62,7 @@ not void and admits the empty order.  Two steps apply the lemma:
    accepts alone (for a self cell by the lemma, the verdict memoized by
    step 1).  A component that neither cell accepts rules the bit out,
    and one that only one cell accepts goes wholly to that side, so
-   ``antichain_splits`` is given per-run bounds on the left side.
+   ``_split_sides`` is given per-run bounds on the left side.
 """
 
 from __future__ import annotations

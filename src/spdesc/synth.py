@@ -2,7 +2,7 @@
 
 Given a finite obstruction antichain, the synthesizer emits a two-point
 bit set that generates exactly the orders avoiding every obstruction,
-then recurses on every ideal appearing as a bit label.  The dispatch is
+then one for every ideal labeling a bit.  The dispatch is
 on the shapes of the obstructions:
 
 * chain sums: one bit per way of picking, for each forbidden chain sum,
@@ -24,7 +24,9 @@ intersection of that ideal with the rule's label, so a cell never
 readmits a forbidden order of the other shape.  Labels equal to the
 entry's ideal are rewritten to the self reference ``R``; every
 remaining ideal label is then strictly contained in its entry's ideal,
-which is what makes the recursion terminate.
+which is what makes the table finite.  The fold proves this (the last
+paragraph below), so synthesis does not check it again;
+``bits.validate`` is the one check of it for any table.
 
 An entry depends only on its ideal, and the same small ideals recur in
 the tables of many obstruction sets, so each entry is memoized for the
@@ -94,6 +96,21 @@ cell contained in the empty-only ideal is itself void or empty-only, so
 a pair with such a cell dominates no pair without one, straight or
 crosswise, and later choices only shrink its cells.  Only the number of
 pairs carried, which ``MAX_FOLD_PAIRS`` bounds, can fall.
+
+Every ideal label is strictly inside its entry's ideal, the target.  Let
+``whole`` be the mask of the target's obstructions, lifted with every
+term the universe gains; its bits are the universe terms that are not
+members of the target.  Pairs start at ``(whole, whole)``; ``|`` only
+adds bits, and ``lift`` only adds bits and keeps one mask covering
+another, so every cell mask covers ``whole``.  Every mask is an up-set
+of the universe, so each target obstruction lies above a minimal term of
+the mask, and the decoded cell lies inside the target.  A mask equal to
+``whole`` decodes to the target's own obstructions, interned as the
+target itself, which ``_label`` writes as ``R``.  Any other mask has a
+bit ``u`` outside ``whole``, a member of the target; a minimal term
+``m`` of the mask below ``u`` is outside the up-set ``whole`` too, so
+``m`` is a member of the target that the cell forbids, and the inclusion
+is strict.
 """
 
 from __future__ import annotations
@@ -102,7 +119,7 @@ from functools import cache
 from itertools import islice
 
 from .bits import Bit, Entry, R, StructuralDescription, antichain_bit, chain_bit, make_entry
-from .ideals import Ideal, _intern_antichain, contains_ideal, make_ideal
+from .ideals import Ideal, _intern_antichain, make_ideal
 from .terms import (
     ANTICHAIN,
     CHAIN,
@@ -135,12 +152,6 @@ class SynthesisError(Exception):
 
 class DegenerateIdealError(SynthesisError):
     """The input ideal is improper, void, or trivial."""
-
-
-class StrictDecreaseError(SynthesisError):
-    """A bit label is not strictly contained in its entry's ideal.
-
-    This indicates an implementation bug, not bad input."""
 
 
 # -- The pruned product -------------------------------------------------------
@@ -188,10 +199,8 @@ def _fold(choices, target: Ideal, *, crosswise: bool = False) -> list[tuple[Idea
     is ``(target, target)``.
 
     Each cell is carried as the mask of the universe terms it excludes,
-    bit k standing for ``universe[k]``; see the module docstring for why
-    equal masks are equal ideals.  A cell is decoded by interning its
-    minimal terms, the k with ``down[k] & mask == 1 << k``, which form
-    an antichain."""
+    bit k standing for ``universe[k]``, and decoded by interning its
+    minimal terms; see the module docstring."""
     universe: list[SpTerm] = []
     up: dict[SpTerm, int] = {}  # bit i of up[t]: t embeds into universe[i]
     down: list[int] = []  # bit i of down[k]: universe[i] embeds into universe[k]
@@ -333,13 +342,11 @@ def antichain_bit_set(ants, target: Ideal) -> list[Bit]:
 def synthesize(forbidden) -> StructuralDescription:
     """Structural description for the ideal forbidding the given terms.
 
-    The root entry gets the dispatch's bit set; every distinct ideal
-    label is then synthesized recursively and stays in the bits as the
-    ideal itself.  Each entry is built once per process and memoized on
-    its interned ideal, so a table reuses the entries of every table
-    synthesized before it.  Labels always shrink strictly, so the
-    recursion bottoms out; a violation raises ``StrictDecreaseError``
-    before recursing, since it would mean the construction is wrong.
+    The root entry gets the dispatch's bit set, and every distinct ideal
+    label its own entry, walked depth first on an explicit stack.  Each
+    entry is memoized per process on its interned ideal, so a table
+    reuses those of every table synthesized before it.  Labels shrink
+    strictly (see the module docstring), so the walk ends.
     """
     ideal = make_ideal(forbidden)
     if ideal.is_improper:
@@ -353,32 +360,23 @@ def synthesize(forbidden) -> StructuralDescription:
             "trivial ideal: forbidding the one point order leaves only the empty order"
         )
     entries: dict = {}
-
-    def build(target: Ideal) -> None:
+    stack = [ideal]
+    while stack:
+        target = stack.pop()
         if target.key in entries:
-            return
-        entry = _entry(target)
-        for label in dict.fromkeys(x for bit in entry.bits for x in (bit.first, bit.second)):
-            if label is not R:
-                build(label)
-        entries[target.key] = entry
-
-    build(ideal)
+            continue
+        entry = entries[target.key] = _entry(target)
+        labels = dict.fromkeys(x for bit in entry.bits for x in (bit.first, bit.second))
+        stack.extend(label for label in reversed(labels) if label is not R)
     return StructuralDescription(ideal.key, entries)
 
 
 @cache
 def _entry(target: Ideal) -> Entry:
     """The entry of one nontrivial proper ideal: the union of its chain
-    and antichain bit sets, each distinct label checked to be strictly
-    contained in ``target``.  A refusal raises and caches nothing."""
+    and antichain bit sets.  A refusal raises and caches nothing."""
     assert target.is_nontrivial_proper, target
     chains = [t for t in target.obstructions if t.kind == CHAIN]
     ants = [t for t in target.obstructions if t.kind == ANTICHAIN]
     bits = chain_bit_set_multi(chains, target) + antichain_bit_set(ants, target)
-    for label in dict.fromkeys(x for bit in bits for x in (bit.first, bit.second)):
-        if label is not R and (label is target or not contains_ideal(target, label)):
-            raise StrictDecreaseError(
-                f"label {label.key!r} is not strictly contained in {target.key!r}"
-            )
     return make_entry(target, bits)

@@ -306,26 +306,26 @@ def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
     return _mk(ANTICHAIN, tuple(comps))
 
 
-def antichain_splits(t: SpTerm, copies=None):
+def antichain_splits(t: SpTerm):
     """The two-sided splits of ``t``'s components (``t`` itself when it
     is not an antichain sum), lazily, as ``(left, right)`` antichain sums.
 
     Equal components are interchangeable, so there is one split per
     sub-multiset of the components.  Splits come in product order over
     the runs of equal components: the fewest copies on the left first,
-    the last run varying fastest.  With ``copies``, a function of a run's
-    component and its number of copies that returns the least and the
-    most copies the left side may take, only the splits within those
-    bounds are listed; a run whose least exceeds its most leaves no split
-    at all, and none is built.
+    the last run varying fastest.
     """
-    for left, right in _split_sides(t, copies):
+    for left, right in _split_sides(t):
         yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
 
 
 def _split_sides(t: SpTerm, copies=None):
     """``antichain_splits`` before either side is built: each split's
-    left and right components, in order, as two lists."""
+    left and right components, in order, as two lists.  With ``copies``,
+    a function of a run's component and its number of copies that
+    returns the least and the most copies the left side may take, only
+    the splits within those bounds are listed; a run whose least exceeds
+    its most leaves no split at all, and no later run is asked."""
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
     ranges = []
     for comp, total in runs:

@@ -35,21 +35,9 @@ from spdesc import (
 )
 from spdesc.bits import chain_bit, make_entry
 
+from catalog import CATALOG
 from reference_diamond import diamond_free_shape
 from reference_enumeration import enumerate_sp_by_closure
-
-CATALOG = [
-    ("C(*,*)",),
-    ("A(*,*)",),
-    ("C(*,*,*)",),
-    ("A(*,*,*)",),
-    ("C(*,A(*,*))",),
-    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
-    ("A(*,*,*)", "A(*,C(*,*))"),
-    ("C(*,*,*)", "A(*,*,*)"),
-    ("C(*,A(*,*),*)",),
-    ("C(*,A(*,*),*)", "A(*,*,*,*)"),
-]
 
 DIAMOND = "C(*,A(*,*),*)"
 

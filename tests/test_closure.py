@@ -48,20 +48,7 @@ from spdesc.bits import R, antichain_bit, chain_bit, from_json, make_entry, to_j
 from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL, contains_ideal, members_upto
 from spdesc.terms import ANTICHAIN
 
-CATALOG = [
-    ("C(*,*)",),
-    ("A(*,*)",),
-    ("C(*,*,*)",),
-    ("A(*,*,*)",),
-    ("C(*,A(*,*))",),
-    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
-    ("A(*,*,*)", "A(*,C(*,*))"),
-    ("C(*,*,*)", "A(*,*,*)"),
-    ("C(*,A(*,*),*)",),
-    ("C(*,A(*,*),*)", "A(*,*,*,*)"),
-]
-
-WIDE = ("A(*,C(*,*),C(*,*,*),C(*,A(*,*)))",)
+from catalog import CATALOG, WIDE
 
 
 def T(s):
@@ -371,7 +358,7 @@ class TestWideSums:
         # Sums of small components that the larger ideals accept.
         sums += [antichain_sum([POINT] * k + [T("C(*,*)")] * (12 - k)) for k in (4, 8, 12)]
         verdicts = set()
-        for texts in CATALOG + [WIDE]:
+        for texts in CATALOG + [(WIDE,)]:
             obstructions = [T(s) for s in texts]
             desc = synthesize(obstructions)
             ideal = make_ideal(obstructions)

@@ -37,6 +37,8 @@ from spdesc.ideals import (
     parse_obstruction_lines,
 )
 
+from catalog import CATALOG
+
 
 def T(s):
     return parse_term(s)
@@ -57,19 +59,6 @@ SAMPLE_FAMILIES = [
     ("C(*,A(*,*))", "A(*,C(*,*))"),
     ("0",),
     ("*",),
-]
-
-CATALOG = [
-    ("C(*,*)",),
-    ("A(*,*)",),
-    ("C(*,*,*)",),
-    ("A(*,*,*)",),
-    ("C(*,A(*,*))",),
-    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
-    ("A(*,*,*)", "A(*,C(*,*))"),
-    ("C(*,*,*)", "A(*,*,*)"),
-    ("C(*,A(*,*),*)",),
-    ("C(*,A(*,*),*)", "A(*,*,*,*)"),
 ]
 
 

@@ -49,24 +49,11 @@ from spdesc import (
 )
 from spdesc.bits import make_entry
 
+from catalog import CATALOG, WIDE
 from oracle_record import relation
 from reference_diamond import diamond_free_shape
 
 DIAMOND = "C(*,A(*,*),*)"
-WIDE = "A(*,C(*,*),C(*,*,*),C(*,A(*,*)))"
-
-CATALOG = [
-    ("C(*,*)",),
-    ("A(*,*)",),
-    ("C(*,*,*)",),
-    ("A(*,*,*)",),
-    ("C(*,A(*,*))",),
-    ("C(*,*,*)", "C(A(*,*),A(*,*))"),
-    ("A(*,*,*)", "A(*,C(*,*))"),
-    ("C(*,*,*)", "A(*,*,*)"),
-    (DIAMOND,),
-    (DIAMOND, "A(*,*,*,*)"),
-]
 
 ORACLE_CACHES = [
     obj

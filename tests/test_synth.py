@@ -16,8 +16,10 @@ Core claims:
     - with both shapes forbidden, every label is intersected with the
       entry's ideal; a hand-built table without that intersection
       readmits A(*,*) in the documented counterexample
-    - synthesize dispatches by obstruction shape, recurses on labels,
-      keeps labels strictly decreasing, terminates, and is deterministic
+    - synthesize dispatches by obstruction shape, gives every label its
+      entry, keeps labels strictly decreasing on every pinned and seeded
+      table, walks a 120-point chain's 119 entries without recursing per
+      level, and is deterministic
     - degenerate inputs fail with clear errors, and a fold over the
       pair budget raises ResourceLimitError, as the width-6 sum does at
       the default budget
@@ -44,6 +46,7 @@ import hashlib
 import importlib
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -68,7 +71,7 @@ from spdesc import (
 from spdesc.bits import R, antichain_bit, chain_bit, make_entry
 from spdesc.ideals import contains_ideal
 from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_multi
-from spdesc.terms import ANTICHAIN, CHAIN, antichain_splits
+from spdesc.terms import ANTICHAIN, CHAIN, POINT, antichain_splits
 
 from reference_diamond import diamond_free_shape
 
@@ -376,14 +379,30 @@ class TestSynthesize:
             assert to_json(synthesize(terms)) == to_json(synthesize(terms))
 
     def test_strict_decrease_everywhere(self):
-        for texts in (["C(*,A(*,*),*)"], ["C(*,*,*)", "A(*,*,*)"], ["C(*,A(*,*))"]):
-            desc = synthesize([T(s) for s in texts])
-            for key, entry in desc.entries.items():
+        # Synthesis proves this instead of checking it (see its module
+        # docstring), so the pinned and seeded tables check it here.
+        for terms in [[T(s) for s in texts] for texts in GOLDEN] + seeded_sets():
+            for key, entry in synthesize(terms).entries.items():
                 for bit in entry.bits:
                     for label in (bit.first, bit.second):
                         if label is not R:
-                            assert label is not entry.ideal
-                            assert contains_ideal(entry.ideal, label)
+                            assert label is not entry.ideal, (terms, key)
+                            assert contains_ideal(entry.ideal, label), (terms, key)
+
+    def test_a_long_chain_is_walked_without_recursion(self):
+        # One entry per chain of 2-120 points, each labeling the next
+        # shorter one; built cold, 40 frames above this test's own.
+        synth._entry.cache_clear()
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            desc = synthesize([chain_sum([POINT] * 120)])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(desc.entries) == 119
 
     def test_memoized_shared_entries(self):
         # Both labels of the diamond's middle rule recurse into the same

@@ -14,8 +14,8 @@ Core claims:
       does on those chains, one block test per layer of either chain at
       most, and refuses a pattern past its code budget
     - antichain_splits lists each sub-multiset of the components once,
-      in product order, and its per-run copy bounds only filter that
-      list
+      in product order, and the per-run copy bounds of its side lists
+      only filter that list, no later run asked once one has no room
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
@@ -430,7 +430,10 @@ class TestAntichainSplits:
                     bounds[comp] = sorted(rng.choice(range(total + 1)) for _ in range(2))
                 if rng.random() < 0.2:  # a run that no split satisfies
                     bounds[rng.choice(list(bounds))] = (1, 0)
-                got = list(antichain_splits(t, lambda comp, total: bounds[comp]))
+                got = [
+                    (antichain_sum(left), antichain_sum(right))
+                    for left, right in terms._split_sides(t, lambda comp, total: bounds[comp])
+                ]
                 assert got == [
                     (left, right)
                     for left, right in want
@@ -440,16 +443,17 @@ class TestAntichainSplits:
                     )
                 ], (t, bounds)
 
-    def test_a_run_without_room_builds_no_split(self, monkeypatch):
-        built = []
-        real = terms._sorted_antichain_sum
-        monkeypatch.setattr(
-            terms, "_sorted_antichain_sum", lambda comps: built.append(comps) or real(comps)
-        )
-        wide = antichain_sum([POINT] * 5 + [T("C(*,*)")] * 5)
+    def test_a_run_without_room_builds_no_split(self):
+        wide = antichain_sum([POINT] * 5 + [T("C(*,*)")] * 5 + [T("C(*,*,*)")])
         copies = {POINT: (0, 5), T("C(*,*)"): (3, 2)}
-        assert list(antichain_splits(wide, copies=lambda comp, total: copies[comp])) == []
-        assert built == []
+        asked = []
+
+        def bounds(comp, total):
+            asked.append(comp)
+            return copies[comp]
+
+        assert list(terms._split_sides(wide, bounds)) == []
+        assert asked == [POINT, T("C(*,*)")]
 
 
 class TestOnePointDeletions:
