@@ -26,7 +26,7 @@ from .bits import (
     StructuralDescription,
     UnknownIdealKeyError,
     from_json,
-    rank,
+    ranks,
     to_json,
     validate,
 )
@@ -57,7 +57,7 @@ __all__ = [
     "member",
     "member_topdown",
     "parse_term",
-    "rank",
+    "ranks",
     "synthesize",
     "to_json",
     "validate",

@@ -128,42 +128,35 @@ def _entry_refs(entry: Entry):
                 yield label.key
 
 
-def rank(desc: StructuralDescription, key: str) -> int:
-    """Recursion depth of an entry: 0 for an empty bit set, otherwise one
-    more than the deepest referenced entry (references without entries,
-    i.e. the leaf ideals, add no depth)."""
-    if key not in desc.entries:
-        raise UnknownIdealKeyError(key)
-    return _walk_ranks(desc, key, {})
+def ranks(desc: StructuralDescription) -> dict[str, int]:
+    """Every entry's recursion depth, by key: 0 for an empty bit set,
+    otherwise one more than the deepest referenced entry (references
+    without entries, i.e. the leaf ideals, add no depth).
 
-
-def _walk_ranks(desc: StructuralDescription, key: str, ranks: dict) -> int:
-    """``rank`` of ``key``, depth first over the references that have
-    entries, with an explicit stack so that a deep table needs no
-    recursion.  ``ranks`` holds the ranks found so far and gains each
-    entry walked; a reference back into the path being walked raises
+    Entries are ranked in topological order, each once every entry it
+    references has its rank, so a table of any depth needs no recursion.
+    An entry left unranked lies on or above a reference cycle and raises
     ``ValueError``, which a table that ``validate`` passes never does."""
-    open_keys = {key}
-    stack = [(key, _entry_refs(desc.entries[key]))]
-    while stack:
-        k, refs = stack[-1]
-        for ref in refs:
-            if ref not in desc.entries or ref in ranks:
-                continue
-            if ref in open_keys:
-                raise ValueError(f"cyclic references through entry {ref!r}")
-            open_keys.add(ref)
-            stack.append((ref, _entry_refs(desc.entries[ref])))
-            break
-        else:
-            stack.pop()
-            open_keys.discard(k)
-            entry = desc.entries[k]
-            deepest = max(
-                (ranks[ref] for ref in _entry_refs(entry) if ref in desc.entries), default=0
-            )
-            ranks[k] = deepest + 1 if entry.bits else 0
-    return ranks[key]
+    entries = desc.entries
+    refs = {key: set(_entry_refs(entry)) & entries.keys() for key, entry in entries.items()}
+    users: dict[str, list[str]] = {key: [] for key in refs}
+    for key, out in refs.items():
+        for ref in out:
+            users[ref].append(key)
+    waiting = {key: len(out) for key, out in refs.items()}
+    ready = [key for key, n in waiting.items() if not n]
+    found: dict[str, int] = {}
+    for key in ready:  # grows as entries become ready
+        deepest = max((found[ref] for ref in refs[key]), default=0)
+        found[key] = deepest + 1 if entries[key].bits else 0
+        for user in users[key]:
+            waiting[user] -= 1
+            if not waiting[user]:
+                ready.append(user)
+    if len(found) < len(refs):
+        key = min(refs.keys() - found.keys())
+        raise ValueError(f"cyclic references through entry {key!r}")
+    return found
 
 
 def validate(desc: StructuralDescription) -> list[str]:
@@ -230,11 +223,18 @@ def _require_fields(mapping, fields, what):
         raise DocumentFormatError(f"{what} is missing fields: {sorted(missing)}")
 
 
-def _parse_ideal(texts, what) -> Ideal:
+def _canonical_ideal(texts, what) -> Ideal:
+    """The ideal spelled by ``texts``, a list of term strings that must be
+    its canonical obstruction texts in key order."""
+    if not isinstance(texts, list) or not all(isinstance(s, str) for s in texts):
+        raise DocumentFormatError(f"{what} must be a list of term strings")
     try:
-        return make_ideal(parse_term(s) for s in texts)
+        ideal = make_ideal(parse_term(s) for s in texts)
     except TermParseError as exc:
-        raise DocumentFormatError(f"bad {what}: {exc}") from exc
+        raise DocumentFormatError(f"bad obstruction term: {exc}") from exc
+    if texts != [t.text for t in ideal.obstructions]:
+        raise DocumentFormatError(f"{what} {texts!r} is no canonical obstruction list")
+    return ideal
 
 
 def deserialize(doc: dict) -> StructuralDescription:
@@ -243,8 +243,9 @@ def deserialize(doc: dict) -> StructuralDescription:
 
     Every entry's ideal is parsed first and must be spelled as its
     canonical obstruction texts in key order, so a label naming an entry
-    is that entry's ideal; only a label naming no entry is parsed, and it
-    must be its ideal's canonical key."""
+    is that entry's ideal.  Only a label naming no entry is parsed, as its
+    ``|``-separated texts, which are canonical exactly when the label is
+    its ideal's key."""
     _require_fields(doc, ("root", "entries"), "document")
     root = doc["root"]
     if not isinstance(root, str):
@@ -255,12 +256,7 @@ def deserialize(doc: dict) -> StructuralDescription:
     parsed = []
     for entry_doc in doc["entries"]:
         _require_fields(entry_doc, ("ideal", "bits"), "entry")
-        terms_doc = entry_doc["ideal"]
-        if not isinstance(terms_doc, list) or not all(isinstance(s, str) for s in terms_doc):
-            raise DocumentFormatError("entry ideal must be a list of term strings")
-        ideal = _parse_ideal(terms_doc, "obstruction term")
-        if terms_doc != [t.text for t in ideal.obstructions]:
-            raise DocumentFormatError(f"entry ideal {terms_doc!r} is no canonical obstruction list")
+        ideal = _canonical_ideal(entry_doc["ideal"], "entry ideal")
         if not isinstance(entry_doc["bits"], list):
             raise DocumentFormatError("entry bits must be a list")
         if ideal.key in ideals:
@@ -272,11 +268,7 @@ def deserialize(doc: dict) -> StructuralDescription:
         if s == "R":
             return R
         got = ideals.get(s)
-        if got is None:
-            got = _parse_ideal(s.split("|"), "label")
-            if got.key != s:
-                raise DocumentFormatError(f"label {s!r} is not a canonical ideal key")
-        return got
+        return _canonical_ideal(s.split("|"), "label") if got is None else got
 
     entries: dict[str, Entry] = {}
     for ideal, bits_doc in parsed:

@@ -19,9 +19,9 @@ from contextlib import ExitStack
 from .bits import (
     DocumentFormatError,
     UnknownIdealKeyError,
-    _walk_ranks,
     from_json,
     label_doc,
+    ranks,
     to_dot,
     to_json,
     validate,
@@ -139,13 +139,10 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_show(args) -> int:
     desc = _load_valid_doc(args.doc)
-    # Every rank before the first print, in one walk of the table.
-    ranks: dict[str, int] = {}
-    for key in sorted(desc.entries):
-        _walk_ranks(desc, key, ranks)
+    depth = ranks(desc)  # every rank before the first print
     print(f"root {desc.root}")
     for key in sorted(desc.entries):
-        print(f"entry {key}  (rank {ranks[key]})")
+        print(f"entry {key}  (rank {depth[key]})")
         for bit in desc.entries[key].bits:
             print(f"  {bit.shape}: {label_doc(bit.first)} | {label_doc(bit.second)}")
     return 0

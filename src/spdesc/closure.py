@@ -62,7 +62,7 @@ not void and admits the empty order.  Two steps apply the lemma:
    accepts alone (for a self cell by the lemma, the verdict memoized by
    step 1).  A component that neither cell accepts rules the bit out,
    and one that only one cell accepts goes wholly to that side, so
-   ``_split_sides`` is given per-run bounds on the left side.
+   ``antichain_splits`` is given per-run bounds on the left side.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ from .terms import (
     ResourceLimitError,
     SpTerm,
     _sorted_antichain_sum,
-    _split_sides,
+    antichain_splits,
     antichain_sum,
     chain_sum,
 )
@@ -193,7 +193,7 @@ def _frame(bits, t: SpTerm, memo: dict):
             # The left side takes every copy the second cell refuses and
             # none that the first cell refuses.
             build = _sorted_antichain_sum
-            sides = _split_sides(
+            sides = antichain_splits(
                 t,
                 copies=lambda comp, total: (
                     0 if accepts(second, comp) else total,

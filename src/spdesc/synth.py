@@ -123,10 +123,10 @@ from .ideals import Ideal, _intern_antichain, make_ideal
 from .terms import (
     ANTICHAIN,
     CHAIN,
-    EMPTY,
     ResourceLimitError,
     SpTerm,
     antichain_splits,
+    antichain_sum,
     chain_sum,
     is_suborder,
 )
@@ -319,9 +319,9 @@ def _split_rules(a: SpTerm) -> tuple:
     if a.kind != ANTICHAIN:
         raise ValueError(f"not an antichain sum: {a!r}")
     rules = (
-        (((left,), ()), ((), (right,)))
+        (((antichain_sum(left),), ()), ((), (antichain_sum(right),)))
         for left, right in antichain_splits(a)
-        if left is not EMPTY and right is not EMPTY
+        if left and right
     )
     return tuple(islice(rules, MAX_FOLD_CHOICES + 1))
 

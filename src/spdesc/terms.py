@@ -270,11 +270,11 @@ def _embeds(p: SpTerm, q: SpTerm) -> bool:
         if p.kind == CHAIN:
             return _chain_in_chain(p.children, q.children)
         return any(is_suborder(p, layer) for layer in q.children)
-    if q.kind == ANTICHAIN:
-        if p.kind == ANTICHAIN:
-            return _antichain_in_antichain(p, q.children)
-        return any(is_suborder(p, comp) for comp in q.children)
-    return False  # q is a point and p has >= 2 points
+    # q is an antichain sum: ``is_suborder`` has answered every p of
+    # fewer than two points and every q smaller than p, so q is a sum.
+    if p.kind == ANTICHAIN:
+        return _antichain_in_antichain(p, q.children)
+    return any(is_suborder(p, comp) for comp in q.children)
 
 
 def _chain_in_chain(pparts, qparts) -> bool:
@@ -306,26 +306,20 @@ def _sorted_antichain_sum(comps: list[SpTerm]) -> SpTerm:
     return _mk(ANTICHAIN, tuple(comps))
 
 
-def antichain_splits(t: SpTerm):
+def antichain_splits(t: SpTerm, copies=None):
     """The two-sided splits of ``t``'s components (``t`` itself when it
-    is not an antichain sum), lazily, as ``(left, right)`` antichain sums.
+    is not an antichain sum), lazily, as each split's left and right
+    components, in order, in two lists.
 
     Equal components are interchangeable, so there is one split per
     sub-multiset of the components.  Splits come in product order over
     the runs of equal components: the fewest copies on the left first,
-    the last run varying fastest.
+    the last run varying fastest.  With ``copies``, a function of a run's
+    component and its number of copies that returns the least and the
+    most copies the left side may take, only the splits within those
+    bounds are listed; a run whose least exceeds its most leaves no split
+    at all, and no later run is asked.
     """
-    for left, right in _split_sides(t):
-        yield _sorted_antichain_sum(left), _sorted_antichain_sum(right)
-
-
-def _split_sides(t: SpTerm, copies=None):
-    """``antichain_splits`` before either side is built: each split's
-    left and right components, in order, as two lists.  With ``copies``,
-    a function of a run's component and its number of copies that
-    returns the least and the most copies the left side may take, only
-    the splits within those bounds are listed; a run whose least exceeds
-    its most leaves no split at all, and no later run is asked."""
     runs = [(c, len(list(equal))) for c, equal in groupby(finest_antichain_rep(t))]
     ranges = []
     for comp, total in runs:
@@ -473,36 +467,26 @@ def _terms_of_size(s: int) -> tuple[SpTerm, ...]:
         return (POINT,)
     found = []
 
-    # The first part never takes the whole size (a sum needs two
-    # parts), so only strictly smaller sizes are recursed into.
-    def chain_layers(remaining, acc):
+    # The parts of a sum of ``kind``, in order: none is a sum of that
+    # kind, and an antichain sum's components never decrease in sort
+    # order (``least``).  The first part never takes the whole size (a
+    # sum needs two parts), so only strictly smaller sizes are recursed
+    # into.
+    def parts(kind, remaining, least, acc):
         if remaining == 0:
             if len(acc) >= 2:
-                found.append(_mk(CHAIN, tuple(acc)))
+                found.append(_mk(kind, tuple(acc)))
             return
         top = remaining if acc else remaining - 1
         for k in range(1, top + 1):
             for part in _terms_of_size(k):
-                if part.kind != CHAIN:
+                if part.kind != kind and part.sort_key >= least:
                     acc.append(part)
-                    chain_layers(remaining - k, acc)
+                    parts(kind, remaining - k, least if kind == CHAIN else part.sort_key, acc)
                     acc.pop()
 
-    def antichain_comps(remaining, min_key, acc):
-        if remaining == 0:
-            if len(acc) >= 2:
-                found.append(_mk(ANTICHAIN, tuple(acc)))
-            return
-        top = remaining if acc else remaining - 1
-        for k in range(1, top + 1):
-            for part in _terms_of_size(k):
-                if part.kind != ANTICHAIN and part.sort_key >= min_key:
-                    acc.append(part)
-                    antichain_comps(remaining - k, part.sort_key, acc)
-                    acc.pop()
-
-    chain_layers(s, [])
-    antichain_comps(s, EMPTY.sort_key, [])
+    parts(CHAIN, s, EMPTY.sort_key, [])
+    parts(ANTICHAIN, s, EMPTY.sort_key, [])
     found.sort(key=lambda t: t.sort_key)
     return tuple(found)
 

@@ -12,7 +12,7 @@ brute-force oracle's size guard.
 
 from functools import cache
 
-from spdesc.terms import ANTICHAIN, CHAIN, EMPTY, POINT, antichain_splits, chain_sum
+from spdesc.terms import ANTICHAIN, CHAIN, EMPTY, POINT, antichain_splits, antichain_sum, chain_sum
 
 
 @cache
@@ -84,7 +84,9 @@ def _antichain_in_antichain(p, qcomps) -> bool:
                 and left.n_points <= qcomps[j].n_points
                 and embeds(left, qcomps[j])
                 and fits(right, j + 1)
-                for left, right in antichain_splits(rest)
+                for left, right in (
+                    (antichain_sum(a), antichain_sum(b)) for a, b in antichain_splits(rest)
+                )
             )
             if not found:
                 j -= 1

@@ -27,7 +27,7 @@ from spdesc import (
     make_ideal,
     member,
     parse_term,
-    rank,
+    ranks,
     synthesize,
     to_json,
     validate,
@@ -108,7 +108,7 @@ def test_criterion_4_validation_and_termination(catalog_descriptions):
         issues = validate(desc)
         if issues:
             problems.append((texts, issues))
-        depth = rank(desc, desc.root)
+        depth = ranks(desc)[desc.root]
         if not depth <= len(desc.entries):
             problems.append((texts, f"rank {depth} exceeds {len(desc.entries)} entries"))
     _announce(

@@ -2,25 +2,29 @@
 
 Core claims:
     - bits are two-point shapes with antichain labels stored unordered
-    - rank is 0 exactly for empty bit sets and otherwise one more than
-      the deepest referenced entry
-    - rank raises ValueError on a reference cycle
+    - ranks gives 0 exactly for empty bit sets and otherwise one more
+      than the deepest referenced entry
+    - ranks raises ValueError on a reference cycle, naming the first
+      entry in key order that lies on or above one
     - validate reports unresolved labels (the improper ideal among
-      them), non-strict labels and entries for the improper, void and
-      empty-only ideals, and passes on synthesized tables; every table
+      them), non-strict labels, unknown bit shapes and entries for the
+      improper, void and empty-only ideals, and passes on synthesized tables; every table
       with a reference cycle has a non-strict label
     - every label other than R is the interned ideal of its entry, or
       one of the two leaf ideals, in synthesized and reloaded tables
     - to_json/deserialize round-trips losslessly, deterministically,
-      and rejects unknown fields and malformed documents; a label naming
+      and rejects unknown fields and malformed documents, the wrong JSON
+      types among them; a label naming
       no entry must be its ideal's canonical key, and the leaf labels
       ``0`` and ``*`` load as the leaf ideals
     - to_json lays its document out exactly as the standard encoder
       does at indent 2, empty lists included, and from_json reads it
       back as the same table
+    - to_dot draws one node per entry and a dashed one per leaf label
 """
 
 import json
+import re
 
 import pytest
 
@@ -30,12 +34,12 @@ from spdesc import (
     from_json,
     make_ideal,
     parse_term,
-    rank,
+    ranks,
     synthesize,
     to_json,
     validate,
 )
-from spdesc.bits import R, antichain_bit, chain_bit, deserialize, make_entry, to_dot
+from spdesc.bits import R, Bit, antichain_bit, chain_bit, deserialize, make_entry, to_dot
 from spdesc.ideals import EMPTY_ONLY_IDEAL, VOID_IDEAL
 from test_closure import hand_made_tables
 from test_synth import GOLDEN, seeded_sets
@@ -99,11 +103,11 @@ class TestBitShapes:
 class TestRank:
     def test_self_bit_only_is_rank_1(self):
         desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
-        assert rank(desc, desc.root) == 1
+        assert ranks(desc) == {desc.root: 1}
 
     def test_empty_description_is_rank_0(self):
         desc = entry_table((I("C(*,*)"), []))
-        assert rank(desc, desc.root) == 0
+        assert ranks(desc) == {desc.root: 0}
 
     def test_reference_adds_a_level(self):
         low = I("A(*,*)")
@@ -112,40 +116,27 @@ class TestRank:
             (high, [chain_bit(R, low), antichain_bit(R, R)]),
             (low, [chain_bit(R, R)]),
         )
-        assert rank(desc, low.key) == 1
-        assert rank(desc, high.key) == 2
-
-    def test_unknown_key(self):
-        from spdesc import UnknownIdealKeyError
-
-        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
-        with pytest.raises(UnknownIdealKeyError):
-            rank(desc, "A(*,*)")
-
-    def test_unknown_key_message(self):
-        from spdesc import UnknownIdealKeyError
-
-        desc = entry_table((I("C(*,*)"), [antichain_bit(R, R)]))
-        with pytest.raises(UnknownIdealKeyError) as exc:
-            rank(desc, "A(*,*,*)")
-        assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
+        assert ranks(desc) == {low.key: 1, high.key: 2}
 
     def test_rank_bounded_by_entry_count(self):
         desc = synthesize([T("C(*,A(*,*),*)")])
-        assert rank(desc, desc.root) <= len(desc.entries)
+        assert ranks(desc)[desc.root] <= len(desc.entries)
 
     def test_self_reference_raises(self):
         ideal = I("C(*,*)")
         desc = entry_table((ideal, [chain_bit(ideal, R)]))
-        with pytest.raises(ValueError, match="cyclic"):
-            rank(desc, desc.root)
+        with pytest.raises(ValueError, match=r"cyclic references through entry 'C\(\*,\*\)'"):
+            ranks(desc)
 
     def test_two_entry_cycle_raises(self):
-        a, b = I("C(*,*)"), I("A(*,*)")
-        desc = entry_table((a, [chain_bit(b, R)]), (b, [antichain_bit(a, R)]))
-        for key in desc.entries:
-            with pytest.raises(ValueError, match="cyclic"):
-                rank(desc, key)
+        # Every entry on or above the cycle is left unranked; the error
+        # names the first in key order, here one above the cycle.
+        a, b, above = I("C(*,*)"), I("C(*,*,*)"), I("A(*,*)")
+        desc = entry_table(
+            (a, [chain_bit(b, R)]), (b, [antichain_bit(a, R)]), (above, [chain_bit(a, R)])
+        )
+        with pytest.raises(ValueError, match=r"cyclic references through entry 'A\(\*,\*\)'"):
+            ranks(desc)
 
 
 class TestValidate:
@@ -199,6 +190,10 @@ class TestValidate:
         assert validate(desc) == [
             f"entry {desc.root!r}: {kind} ideal; only nontrivial proper ideals have entries"
         ]
+
+    def test_unknown_bit_shape(self):
+        desc = entry_table((I("C(*,*)"), [Bit("triangle", R, R)]))
+        assert validate(desc) == ["entry 'C(*,*)': unknown bit shape 'triangle'"]
 
     def test_key_ideal_mismatch(self):
         entries = {"C(*,*,*)": make_entry(I("C(*,*)"), [antichain_bit(R, R)])}
@@ -279,6 +274,21 @@ class TestSerialization:
         bad_term["entries"][0]["ideal"] = ["C(*"]
         with pytest.raises(DocumentFormatError):
             deserialize(bad_term)
+
+    def test_document_of_the_wrong_form_rejected(self):
+        entry = {"ideal": ["C(*,*)"], "bits": []}
+        cases = [
+            (["C(*,*)"], "document must be an object"),
+            ({"root": "C(*,*)"}, "document is missing fields: ['entries']"),
+            ({"root": 1, "entries": [entry]}, "root must be a key string"),
+            ({"root": "C(*,*)", "entries": entry}, "entries must be a list"),
+            ({"root": "C(*,*)", "entries": [{**entry, "ideal": "C(*,*)"}]}, "entry ideal must"),
+            ({"root": "C(*,*)", "entries": [{**entry, "ideal": ["C(*,*)", 1]}]}, "entry ideal must"),
+            ({"root": "C(*,*)", "entries": [{**entry, "bits": {}}]}, "entry bits must be a list"),
+        ]
+        for doc, message in cases:
+            with pytest.raises(DocumentFormatError, match=re.escape(message)):
+                deserialize(doc)
 
     @pytest.mark.parametrize("label", ["", "C(*, *)", "A(*,*)|A(*,*,*)", "X", "C(*,*)|"])
     def test_label_that_is_no_canonical_key_rejected(self, label):
@@ -370,3 +380,15 @@ class TestDot:
             assert f'label="{key}"' in dot
         assert dot.count("->") >= 3
         assert to_dot(desc) == dot  # deterministic
+        leaves = entry_table(
+            (I("C(*,*,*)"), [chain_bit(VOID_IDEAL, R), chain_bit(EMPTY_ONLY_IDEAL, EMPTY_ONLY_IDEAL)])
+        )
+        assert to_dot(leaves) == (
+            "digraph structural_description {\n"
+            '  n0 [label="C(*,*,*)", penwidth=2];\n'
+            '  n1 [label="*", style=dashed];\n'
+            '  n2 [label="0", style=dashed];\n'
+            "  n0 -> n1;\n"
+            "  n0 -> n2;\n"
+            "}\n"
+        )

@@ -5,10 +5,11 @@ Core claims:
       an unwritable --dot exits 2 with nothing written to stdout or --out,
       and so do --out and --dot naming one file
     - verify exits 0 on equality and 1 on mismatch, with witness lines;
+      a --doc building forbidden orders prints them as extra witnesses;
       an invalid or foreign --doc exits 2; a layer forbidding a
       five-component antichain sum verifies
     - member prints true/false, also on flat terms of 1,200 parts;
-      enumerate lists canonical terms
+      enumerate lists canonical terms and refuses a negative size
     - show pretty-prints entries with ranks, also tables deeper than the
       interpreter's recursion limit, and rejects an invalid
       document with exit 2, as verify --doc does, one with an entry for
@@ -181,6 +182,25 @@ class TestVerify:
         assert any(line.startswith("missing ") for line in lines)
         assert "MISMATCH" in lines[-1]
 
+    def test_doc_building_forbidden_orders_exits_1_with_extra_witnesses(
+        self, obstruction_file, tmp_path, capsys
+    ):
+        # The one bit stacks any two built orders, so it builds every
+        # chain: the forbidden ones are extra, every antichain missing.
+        path = obstruction_file("f.txt", "C(*,*,*)\n")
+        doc = tmp_path / "chains.json"
+        doc.write_text(
+            '{"root": "C(*,*,*)", "entries": [{"ideal": ["C(*,*,*)"],'
+            ' "bits": [{"shape": "chain", "labels": ["R", "R"]}]}]}'
+        )
+        assert main(["verify", path, "--max-size", "4", "--doc", str(doc)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("extra ")] == [
+            "extra C(*,*,*)",
+            "extra C(*,*,*,*)",
+        ]
+        assert lines[-1] == "MISMATCH up to size 4: 13 missing, 2 extra"
+
     def test_invalid_doc_exits_2(self, obstruction_file, tmp_path, capsys):
         path = obstruction_file("f.txt", "C(*,*)\n")
         doc = tmp_path / "cyclic.json"
@@ -280,6 +300,12 @@ class TestEnumerate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cap of 11 points" in captured.err
+
+    def test_negative_size_exits_2(self, capsys):
+        assert main(["enumerate", "--max-size", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "size bound must be nonnegative" in captured.err
 
 
 class TestShow:

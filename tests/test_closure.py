@@ -289,8 +289,9 @@ class TestMemberTopdown:
 
     def test_unresolved_key(self):
         desc = synthesize([T("C(*,*,*)")])
-        with pytest.raises(UnknownIdealKeyError):
+        with pytest.raises(UnknownIdealKeyError) as exc:
             member_topdown(desc, "A(*,*,*)", POINT)
+        assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
 
 
 class TestPartFirstLemma:
@@ -379,6 +380,13 @@ class TestTopdownMemo:
             closure._verdicts.cache_clear()
             assert member_topdown(desc, desc.root, t) is True
             assert member(make_ideal([T(forbidden)]), t)
+
+    def test_an_undecided_self_labelled_left_half_is_awaited(self):
+        # Past its parts, the frame of C(*,*,A(*,*)) reaches the chain
+        # split whose self-labelled left half C(*,*) has no verdict yet.
+        desc = synthesize([T("C(*,A(*,*))")])
+        closure._verdicts.cache_clear()
+        assert member_topdown(desc, desc.root, T("C(*,*,A(*,*))")) is False
 
     def test_tables_sharing_a_key_keep_their_own_verdicts(self):
         ideal = make_ideal([T("C(*,*,*)")])

@@ -615,9 +615,9 @@ def test_split_rules_stop_one_choice_past_the_budget():
     comps = [t for t in enumerate_sp(5) if t.n_points >= 2 and t.kind == CHAIN][:20]
     wide = antichain_sum(comps)
     every = (
-        (((left,), ()), ((), (right,)))
+        (((antichain_sum(left),), ()), ((), (antichain_sum(right),)))
         for left, right in antichain_splits(wide)
-        if left.n_points and right.n_points
+        if left and right
     )
     assert synth._split_rules(wide) == tuple(itertools.islice(every, 129))
     assert len(synth._split_rules(T(WIDTH_5))) == 2**5 - 2

@@ -14,8 +14,9 @@ Core claims:
       does on those chains, one block test per layer of either chain at
       most, and refuses a pattern past its code budget
     - antichain_splits lists each sub-multiset of the components once,
-      in product order, and the per-run copy bounds of its side lists
-      only filter that list, no later run asked once one has no room
+      as two component lists, in product order, and its per-run copy
+      bounds only filter that list, no later run asked once one has no
+      room
     - one_point_deletions lists, once each, exactly the orders of one
       point fewer that embed into the term
     - enumeration is one-per-isomorphism-class with the expected small
@@ -165,6 +166,12 @@ class TestParsePrint:
         with pytest.raises(TermParseError) as exc:
             T("C(*,*))")
         assert exc.value.position == 6
+        with pytest.raises(TermParseError) as exc:
+            T("C*")
+        assert exc.value.position == 1
+        with pytest.raises(TermParseError) as exc:
+            T("C(*;*)")
+        assert exc.value.position == 3
 
 
 class TestBasicShapes:
@@ -389,26 +396,28 @@ def _splits_by_masks(t):
         left = [c for i, c in enumerate(comps) if mask >> i & 1]
         right = [c for i, c in enumerate(comps) if not mask >> i & 1]
         pick = tuple(left.count(c) for c in runs)
-        found[pick] = (antichain_sum(left), antichain_sum(right))
+        found[pick] = (left, right)
     return [found[pick] for pick in sorted(found)]
 
 
 class TestAntichainSplits:
     def test_examples(self):
+        two = T("C(*,*)")
         assert list(antichain_splits(T("A(*,*,C(*,*))"))) == [
-            (EMPTY, T("A(*,*,C(*,*))")),
-            (T("C(*,*)"), T("A(*,*)")),
-            (POINT, T("A(*,C(*,*))")),
-            (T("A(*,C(*,*))"), POINT),
-            (T("A(*,*)"), T("C(*,*)")),
-            (T("A(*,*,C(*,*))"), EMPTY),
+            ([], [POINT, POINT, two]),
+            ([two], [POINT, POINT]),
+            ([POINT], [POINT, two]),
+            ([POINT, two], [POINT]),
+            ([POINT, POINT], [two]),
+            ([POINT, POINT, two], []),
         ]
-        assert list(antichain_splits(T("C(*,*)"))) == [(EMPTY, T("C(*,*)")), (T("C(*,*)"), EMPTY)]
+        assert list(antichain_splits(two)) == [([], [two]), ([two], [])]
+        assert list(antichain_splits(EMPTY)) == [([], [])]
 
     def test_lazy(self):
         wide = antichain_sum([T("C(*,*)")] + [chain_sum([POINT] * k) for k in range(3, 40)])
         first = next(antichain_splits(wide))
-        assert first == (EMPTY, wide)
+        assert first == ([], list(wide.children))
 
     def test_every_sub_multiset_once_in_product_order_up_to_size_8(self):
         for t in enumerate_sp(8):
@@ -430,17 +439,11 @@ class TestAntichainSplits:
                     bounds[comp] = sorted(rng.choice(range(total + 1)) for _ in range(2))
                 if rng.random() < 0.2:  # a run that no split satisfies
                     bounds[rng.choice(list(bounds))] = (1, 0)
-                got = [
-                    (antichain_sum(left), antichain_sum(right))
-                    for left, right in terms._split_sides(t, lambda comp, total: bounds[comp])
-                ]
+                got = list(antichain_splits(t, lambda comp, total: bounds[comp]))
                 assert got == [
                     (left, right)
                     for left, right in want
-                    if all(
-                        lo <= finest_antichain_rep(left).count(comp) <= hi
-                        for comp, (lo, hi) in bounds.items()
-                    )
+                    if all(lo <= left.count(comp) <= hi for comp, (lo, hi) in bounds.items())
                 ], (t, bounds)
 
     def test_a_run_without_room_builds_no_split(self):
@@ -452,7 +455,7 @@ class TestAntichainSplits:
             asked.append(comp)
             return copies[comp]
 
-        assert list(terms._split_sides(wide, bounds)) == []
+        assert list(antichain_splits(wide, bounds)) == []
         assert asked == [POINT, T("C(*,*)")]
 
 
