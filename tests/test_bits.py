@@ -3,7 +3,9 @@
 Core claims:
     - bits are two-point shapes with antichain labels stored unordered
     - ranks gives 0 exactly for empty bit sets and otherwise one more
-      than the deepest referenced entry
+      than the deepest referenced entry; a label naming no entry adds
+      no depth, and a decision asked of its key raises
+      UnknownIdealKeyError naming it
     - ranks raises ValueError on a reference cycle, naming the first
       entry in key order that lies on or above one
     - validate reports unresolved labels (the improper ideal among
@@ -31,8 +33,10 @@ import pytest
 from spdesc import (
     DocumentFormatError,
     StructuralDescription,
+    UnknownIdealKeyError,
     from_json,
     make_ideal,
+    member_topdown,
     parse_term,
     ranks,
     synthesize,
@@ -117,6 +121,16 @@ class TestRank:
             (low, [chain_bit(R, R)]),
         )
         assert ranks(desc) == {low.key: 1, high.key: 2}
+
+    def test_unknown_key_message(self):
+        # A label naming no entry adds no depth and gets no rank; a
+        # decision asked of that key reports it by name.
+        high, dangling = I("C(*,*)"), I("A(*,*,*)")
+        desc = entry_table((high, [chain_bit(dangling, R)]))
+        assert ranks(desc) == {high.key: 1}
+        with pytest.raises(UnknownIdealKeyError) as exc:
+            member_topdown(desc, dangling.key, T("*"))
+        assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
 
     def test_rank_bounded_by_entry_count(self):
         desc = synthesize([T("C(*,A(*,*),*)")])

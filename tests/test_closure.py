@@ -289,9 +289,8 @@ class TestMemberTopdown:
 
     def test_unresolved_key(self):
         desc = synthesize([T("C(*,*,*)")])
-        with pytest.raises(UnknownIdealKeyError) as exc:
+        with pytest.raises(UnknownIdealKeyError):
             member_topdown(desc, "A(*,*,*)", POINT)
-        assert str(exc.value) == "unknown ideal key 'A(*,*,*)'"
 
 
 class TestPartFirstLemma:
