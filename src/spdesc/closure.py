@@ -151,9 +151,13 @@ def generate_upto(desc: StructuralDescription, key: str, n: int) -> GeneratedSet
                     continue
                 firsts = by_size[a] if c1 is None else c1[a]
                 seconds = by_size[b] if c2 is None else c2[b]
-                for x in firsts:
-                    for y in seconds:
-                        level.add(combine((x, y)))
+                if a and b:
+                    for x in firsts:
+                        for y in seconds:
+                            level.add(combine((x, y)))
+                elif firsts if a == 0 else seconds:
+                    # A size-0 cell holds 0 or nothing, and a sum with 0 is the other half.
+                    level.update(seconds if a == 0 else firsts)
                 if found + len(level) > MAX_GENERATED_TERMS:
                     raise ResourceLimitError(
                         f"generated set exceeds the cap of {MAX_GENERATED_TERMS} terms"

@@ -17,12 +17,12 @@ Under those rules each isomorphism class of finite SP orders has exactly
 one term.  Terms are interned, so equal terms are the same object and
 ``is``, ``==``, hashing and memo lookups are all cheap identity
 operations.  Everything in this module is a pure function of its
-arguments and safe for concurrent use.  The suborder test, the one
-point deletions and the enumeration levels are memoized
-by ``functools.cache`` on private helpers, whose ``cache_info()``
-reports each memo's size and whose ``cache_clear()`` empties it: a memo
-only holds values that are recomputed identically.  The intern table is
-not a memo and is never cleared, since equal terms must stay one object.
+arguments and safe for concurrent use.  The suborder test and the
+enumeration levels are memoized by ``functools.cache`` on private
+helpers, whose ``cache_info()`` reports each memo's size and whose
+``cache_clear()`` empties it: a memo only holds values that are
+recomputed identically.  One point deletions are kept on the term, and
+the intern tables are never cleared, since equal terms stay one object.
 """
 
 from __future__ import annotations
@@ -69,9 +69,16 @@ class TermParseError(ValueError):
 class SpTerm:
     """One canonical SP order.  Do not construct directly; use the
     constructors below (``chain_sum``, ``antichain_sum``, ``parse_term``),
-    which intern their results."""
+    which intern their results.
 
-    __slots__ = ("kind", "children", "n_points", "sort_key", "_text")
+    ``sort_key`` is the flat ``(n_points, kind, *child keys)``, which
+    orders terms as the nested ``(n_points, kind, (child keys))`` does:
+    both compare count, kind, then the runs of child keys in order, a
+    prefix first (nested: in entry 3; flat: from entry 3 on), and by
+    induction on size the child keys compare alike in both forms.
+    """
+
+    __slots__ = ("kind", "children", "n_points", "sort_key", "_text", "_deletions")
 
     def __init__(self, kind: int, children: tuple["SpTerm", ...]):
         self.kind = kind
@@ -83,8 +90,8 @@ class SpTerm:
         else:
             self.n_points = sum(c.n_points for c in children)
         # Total term order: point count, then kind, then child keys.
-        self.sort_key = (self.n_points, kind, tuple(c.sort_key for c in children))
-        self._text = None
+        self.sort_key = (self.n_points, kind, *(c.sort_key for c in children))
+        self._text = self._deletions = None
 
     @property
     def text(self) -> str:
@@ -97,19 +104,22 @@ class SpTerm:
         return self.text
 
 
-_INTERN: dict[tuple, SpTerm] = {}
+# One intern table per kind of sum, keyed on the children tuple the term
+# holds: a chain sum and an antichain sum may have equal children.
+_CHAINS: dict[tuple[SpTerm, ...], SpTerm] = {}
+_ANTICHAINS: dict[tuple[SpTerm, ...], SpTerm] = {}
 
 
 def _mk(kind: int, children: tuple[SpTerm, ...]) -> SpTerm:
-    key = (kind, children)
-    t = _INTERN.get(key)
+    table = _CHAINS if kind == CHAIN else _ANTICHAINS
+    t = table.get(children)
     if t is None:
-        t = _INTERN[key] = SpTerm(kind, children)
+        t = table[children] = SpTerm(kind, children)
     return t
 
 
-EMPTY = _mk(EMPTY_KIND, ())
-POINT = _mk(POINT_KIND, ())
+EMPTY = SpTerm(EMPTY_KIND, ())
+POINT = SpTerm(POINT_KIND, ())
 
 
 def _render(t: SpTerm) -> str:
@@ -286,10 +296,15 @@ def _chain_in_chain(pparts, qparts) -> bool:
     # wherever the whole remainder does; so taking the longest block never
     # loses an embedding.  Each test either extends the block or moves on
     # to the next layer, so a call makes at most len(p) + len(q) tests.
+    # A block with more points than the layer cannot fit, so the points
+    # left in the layer end the block before such a block is built.
     taken, n = 0, len(pparts)
     for layer in qparts:
-        end = taken
-        while end < n and is_suborder(chain_sum(pparts[taken : end + 1]), layer):
+        end, room = taken, layer.n_points
+        while end < n and pparts[end].n_points <= room:
+            if not is_suborder(chain_sum(pparts[taken : end + 1]), layer):
+                break
+            room -= pparts[end].n_points
             end += 1
         if end == n:
             return True
@@ -439,10 +454,11 @@ def one_point_deletions(t: SpTerm) -> tuple[SpTerm, ...]:
     """The distinct orders left by deleting one point of ``t``: a point
     inside one layer of a chain sum or one component of an antichain sum
     (equal components give equal results, so each is tried once)."""
-    return _deletions(t)
+    if t._deletions is None:
+        t._deletions = _deletions(t)
+    return t._deletions
 
 
-@cache
 def _deletions(t: SpTerm) -> tuple[SpTerm, ...]:
     if not t.children:
         return (EMPTY,) if t is POINT else ()
@@ -451,7 +467,7 @@ def _deletions(t: SpTerm) -> tuple[SpTerm, ...]:
     made = {}
     for i, part in enumerate(parts):
         if t.kind == CHAIN or i == 0 or part is not parts[i - 1]:
-            for d in _deletions(part):
+            for d in one_point_deletions(part):
                 made[combine(parts[:i] + (d,) + parts[i + 1 :])] = None
     return tuple(made)
 

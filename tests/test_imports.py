@@ -5,7 +5,7 @@ Core claims:
       re-exports, and every module of the test tree uses each name it
       imports
     - no module binds a name to an empty ``{}``, ``dict()`` or
-      ``set()`` but the two intern tables, so memo tables go through
+      ``set()`` but the three intern tables, so memo tables go through
       ``functools.cache`` and can be read and cleared
     - every dataclass of the package is declared with ``slots=True``:
       the entry memo keeps every ``Bit`` and ``Entry`` for the life of
@@ -58,9 +58,10 @@ def test_unused_import_is_found():
     assert unused_imports(source) == ["chain_bit", "os"]
 
 
-# The identity tables behind ``t is EMPTY``: clearing them would make
-# equal terms or ideals distinct objects, so they are not memo caches.
-INTERN_TABLES = {"terms.py": ["_INTERN"], "ideals.py": ["_INTERN"]}
+# The identity tables behind ``is`` on terms and ideals: clearing them
+# would make equal terms or ideals distinct objects, so they are not memo
+# caches.  Terms have one table per kind of sum.
+INTERN_TABLES = {"terms.py": ["_CHAINS", "_ANTICHAINS"], "ideals.py": ["_INTERN"]}
 
 
 def empty_tables(source: str) -> list[str]:

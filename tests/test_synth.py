@@ -74,6 +74,7 @@ from spdesc.synth import DegenerateIdealError, antichain_bit_set, chain_bit_set_
 from spdesc.terms import ANTICHAIN, CHAIN, POINT, antichain_splits
 
 from reference_diamond import diamond_free_shape
+from test_imports import INTERN_TABLES
 
 
 def T(s):
@@ -671,7 +672,6 @@ CACHES = [
     "spdesc.oracle._relation_masks",
     "spdesc.synth._entry",
     "spdesc.synth._split_rules",
-    "spdesc.terms._deletions",
     "spdesc.terms._embeds",
     "spdesc.terms._placeable",
     "spdesc.terms._signature",
@@ -691,7 +691,13 @@ def test_caches_hold_only_pure_results():
         for name, obj in vars(module).items()
         if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
     }
-    interned = {module.__name__: module._INTERN for module in modules if hasattr(module, "_INTERN")}
+    # Each intern table maps a key to its term or ideal, so a copy of it
+    # compares by content: the same keys, each with the same object.
+    interned = {
+        f"{module.__name__}.{name}": getattr(module, name)
+        for module in modules
+        for name in INTERN_TABLES.get(module.__name__.split(".")[-1] + ".py", [])
+    }
     forbidden = [T("C(*,A(*,*),*)"), T("A(*,*,*,*)")]
 
     def run():
@@ -711,7 +717,12 @@ def test_caches_hold_only_pure_results():
     assert all(cache.cache_info().currsize == 0 for cache in caches.values())
     assert run() == first
     assert all(cache.cache_info().currsize > 0 for cache in caches.values())
-    assert sorted(interned) == ["spdesc.ideals", "spdesc.terms"]
+    assert sorted(interned) == [
+        "spdesc.ideals._INTERN",
+        "spdesc.terms._ANTICHAINS",
+        "spdesc.terms._CHAINS",
+    ]
+    assert all(table for table in interned.values())
     assert {name: dict(table) for name, table in interned.items()} == before
 
 

@@ -22,6 +22,10 @@ Core claims:
     - enumeration is one-per-isomorphism-class with the expected small
       counts, it agrees with the closure enumeration of the test
       tree, and it refuses sizes past its cap before building anything
+    - the flat sort key orders terms as the nested key of the test tree
+      does; each key holds its children's own keys, each sum is interned
+      under its own children tuple in its kind's table, and a term's
+      deletions are one tuple kept on the term
 """
 
 import random
@@ -505,6 +509,52 @@ class TestEnumerate:
         with pytest.raises(ResourceLimitError, match="cap of 11 points"):
             enumerate_sp(12)
         assert terms._terms_of_size.cache_info().currsize == levels
+
+
+def nested_key(t):
+    """The term order's key with the child keys in a tuple of their own."""
+    return (t.n_points, t.kind, tuple(nested_key(c) for c in t.children))
+
+
+def random_terms(seed, count, most_points):
+    """Distinct parsed terms of two to ``most_points`` points, seeded."""
+    rng = random.Random(seed)
+    found = set()
+    while len(found) < count:
+        t = parse_term(spelled(rng, 5)[0])
+        if 2 <= t.n_points <= most_points:
+            found.add(t)
+    return list(found)
+
+
+class TestTermStore:
+    """How interned terms are laid out in memory."""
+
+    def test_flat_key_orders_as_the_nested_key(self):
+        small = enumerate_sp(9)
+        assert sorted(small, key=nested_key) == small
+        drawn = random_terms("flat-keys", 400, 30)
+        assert sorted(drawn, key=lambda t: t.sort_key) == sorted(drawn, key=nested_key)
+        assert len({t.sort_key for t in drawn}) == len(drawn)
+
+    def test_keys_children_and_deletions_hold_no_extra_objects(self):
+        store = enumerate_sp(7) + random_terms("layout", 200, 30)
+        for t in store:
+            key = t.sort_key
+            assert type(key) is tuple and key[:2] == (t.n_points, t.kind), t
+            assert len(key) == 2 + len(t.children), t
+            assert all(k is c.sort_key for k, c in zip(key[2:], t.children)), t
+            got = one_point_deletions(t)
+            assert one_point_deletions(t) is got and t._deletions is got, t
+        assert EMPTY.sort_key == (0, 0) and POINT.sort_key == (1, 1)
+        for table, kind in ((terms._CHAINS, CHAIN), (terms._ANTICHAINS, ANTICHAIN)):
+            assert table
+            for children, t in table.items():
+                assert t.kind == kind and children is t.children, t
+        for t in store:
+            if t.children:
+                table = terms._CHAINS if t.kind == CHAIN else terms._ANTICHAINS
+                assert table[t.children] is t, t
 
 
 class TestSmartConstructors:
