@@ -32,14 +32,13 @@ from .bits import (
 )
 from .closure import generate_upto, member_topdown
 from .synth import SynthesisError, synthesize
-from .oracle import SizeGuardError, avoiders_upto, brute_embed, verify_equivalence
+from .oracle import avoiders_upto, brute_embed, verify_equivalence
 
 __all__ = [
     "DocumentFormatError",
     "EMPTY",
     "POINT",
     "ResourceLimitError",
-    "SizeGuardError",
     "StructuralDescription",
     "SynthesisError",
     "TermParseError",

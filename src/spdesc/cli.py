@@ -28,7 +28,7 @@ from .bits import (
 )
 from .ideals import load_obstruction_file, make_ideal, member
 from .oracle import verify_equivalence
-from .synth import SynthesisError, synthesize
+from .synth import synthesize
 from .terms import ResourceLimitError, enumerate_sp, parse_term
 
 
@@ -161,19 +161,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (
-        SynthesisError,
-        UnknownIdealKeyError,
-        ResourceLimitError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (UnknownIdealKeyError, ResourceLimitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input too large for the interpreter's recursion limit", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,10 +12,9 @@ each cell's members on their own.
 
 The size cap is exact: every part of a sum of size <= n has size <= n,
 so the capped fixed point equals the full generated ideal restricted to
-terms of size <= n.  A static cell's members are enumerated, so
-``terms.MAX_ENUM_SIZE`` bounds n for an entry with an ideal label; an
-entry whose bits are all self-labeled is bounded only by the count of
-terms it generates, ``MAX_GENERATED_TERMS``.
+terms of size <= n.  ``terms.MAX_ENUM_SIZE`` bounds n for every entry,
+the cap that enumerating a static cell's members already meets, so a
+generated set holds at most the 181,007 orders of at most 11 points.
 
 The fixed point is evaluated one size at a time.  ``G[0]`` is the empty
 order and ``G[1]`` the point; ``G[s]`` collects, over every bit and
@@ -76,6 +75,7 @@ from .terms import (
     EMPTY,
     POINT,
     CHAIN,
+    MAX_ENUM_SIZE,
     ResourceLimitError,
     SpTerm,
     _sorted_antichain_sum,
@@ -83,11 +83,6 @@ from .terms import (
     antichain_sum,
     chain_sum,
 )
-
-
-# Most terms ``generate_upto`` may collect, the number of orders of at
-# most 11 points rounded up.
-MAX_GENERATED_TERMS = 200_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,14 +122,17 @@ def _cells(desc: StructuralDescription, key: str, n: int):
 def generate_upto(desc: StructuralDescription, key: str, n: int) -> GeneratedSet:
     """Least fixed point of the entry's bits over {empty, point},
     restricted to terms of size <= n.  Deterministic and independent of
-    application order (the result is a plain set union); more than
-    ``MAX_GENERATED_TERMS`` terms raise ``ResourceLimitError``."""
+    application order (the result is a plain set union); n above
+    ``terms.MAX_ENUM_SIZE`` raises ``ResourceLimitError``."""
     if n < 0:
         raise ValueError("size bound must be nonnegative")
+    if n > MAX_ENUM_SIZE:
+        raise ResourceLimitError(
+            f"generated set up to size {n} exceeds the cap of {MAX_ENUM_SIZE} points"
+        )
     prepped = _cells(desc, key, n)
 
     by_size: list[set[SpTerm]] = [{EMPTY}]
-    found = 1
     for s in range(1, n + 1):
         level = {POINT} if s == 1 else set()
         for is_chain, c1, c2 in prepped:
@@ -158,12 +156,7 @@ def generate_upto(desc: StructuralDescription, key: str, n: int) -> GeneratedSet
                 elif firsts if a == 0 else seconds:
                     # A size-0 cell holds 0 or nothing, and a sum with 0 is the other half.
                     level.update(seconds if a == 0 else firsts)
-                if found + len(level) > MAX_GENERATED_TERMS:
-                    raise ResourceLimitError(
-                        f"generated set exceeds the cap of {MAX_GENERATED_TERMS} terms"
-                    )
         by_size.append(level)
-        found += len(level)
     return GeneratedSet(n, frozenset().union(*by_size))
 
 

@@ -50,16 +50,12 @@ from functools import cache
 
 from .bits import StructuralDescription
 from .closure import generate_upto
-from .terms import CHAIN, EMPTY, POINT, SpTerm, enumerate_sp
+from .terms import CHAIN, EMPTY, POINT, ResourceLimitError, SpTerm, enumerate_sp
 
 MAX_BRUTE_POINTS = 9
 
 # Every mask a record can hold, so that records share one object per value.
 _MASKS = tuple(range(1 << MAX_BRUTE_POINTS))
-
-
-class SizeGuardError(ValueError):
-    """Input too large for the brute-force predicates."""
 
 
 def brute_embed(p: SpTerm, q: SpTerm) -> bool:
@@ -73,9 +69,7 @@ def brute_embed(p: SpTerm, q: SpTerm) -> bool:
     if p.n_points > q.n_points:
         return False
     if q.n_points > MAX_BRUTE_POINTS:
-        raise SizeGuardError(
-            f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points"
-        )
+        raise ResourceLimitError(f"brute-force embedding is capped at {MAX_BRUTE_POINTS} points")
     return _embeds(_constraint_rows(p), _relation_masks(q))
 
 
@@ -163,7 +157,7 @@ def avoiders_upto(forbidden, n: int) -> list[SpTerm]:
     hosts are filtered one pattern at a time; a pattern of more than
     ``n`` points embeds into none of them and is skipped untouched."""
     if n > MAX_BRUTE_POINTS:
-        raise SizeGuardError(f"avoider enumeration is capped at size {MAX_BRUTE_POINTS}")
+        raise ResourceLimitError(f"avoider enumeration is capped at size {MAX_BRUTE_POINTS}")
     hosts = enumerate_sp(n)
     for f in forbidden:
         if f is EMPTY:

@@ -146,11 +146,7 @@ MAX_FOLD_PAIRS = 1 << 10
 MAX_FOLD_CHOICES = 1 << 7
 
 
-class SynthesisError(Exception):
-    """Base class for synthesis failures."""
-
-
-class DegenerateIdealError(SynthesisError):
+class SynthesisError(ValueError):
     """The input ideal is improper, void, or trivial."""
 
 
@@ -350,13 +346,11 @@ def synthesize(forbidden) -> StructuralDescription:
     """
     ideal = make_ideal(forbidden)
     if ideal.is_improper:
-        raise DegenerateIdealError(
-            "improper ideal: no obstructions given, every SP order is allowed"
-        )
+        raise SynthesisError("improper ideal: no obstructions given, every SP order is allowed")
     if ideal.is_void:
-        raise DegenerateIdealError("void ideal: forbidding the empty order leaves nothing")
+        raise SynthesisError("void ideal: forbidding the empty order leaves nothing")
     if ideal.is_empty_only:
-        raise DegenerateIdealError(
+        raise SynthesisError(
             "trivial ideal: forbidding the one point order leaves only the empty order"
         )
     entries: dict = {}

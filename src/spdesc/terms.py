@@ -55,7 +55,8 @@ MAX_GROUP_CODES = 1 << 22
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration, closure or synthesis fold grew past its size cap."""
+    """An input past a size cap: of enumeration, generated sets, the
+    brute-force oracle, the synthesis fold or the suborder test."""
 
 
 class TermParseError(ValueError):
@@ -402,11 +403,13 @@ def _placeable(p: SpTerm, hosts: tuple[tuple[tuple[int, ...], int], ...]) -> boo
         )
     # Adding a group shifts a code by the group's code, after keeping only
     # the codes with room for it in every run: those whose digit there is
-    # at most the run's copies less the group's.
+    # at most the run's copies less the group's.  Such a code takes no
+    # carry, so one mask and one shift place the group.
+    every = (1 << codes) - 1
     masks = {}
 
-    def steps(g):
-        out = []
+    def room(g):
+        out = every
         for _, total, place in runs:
             k = g // place % (total + 1)
             if k:
@@ -417,21 +420,18 @@ def _placeable(p: SpTerm, hosts: tuple[tuple[tuple[int, ...], int], ...]) -> boo
                     while width < codes:
                         mask |= mask << width
                         width *= 2
-                    mask = masks[place, k] = mask & ((1 << codes) - 1)
-                out.append((mask, k * place))
+                    mask = masks[place, k] = mask & every
+                out &= mask
         return out
 
     full = 1 << (codes - 1)
     placed = 1  # bit 0: nothing placed yet
     for sig, count in hosts:
-        moves = [steps(g) for g in sig]
+        moves = [(room(g), g) for g in sig]
         for _ in range(count):
             grown = placed
-            for move in moves:
-                moved = placed
-                for mask, shift in move:
-                    moved = (moved & mask) << shift
-                grown |= moved
+            for mask, g in moves:
+                grown |= (placed & mask) << g
             if grown & full:
                 return True
             if grown == placed:

@@ -24,11 +24,14 @@ Core claims:
       describe repeated after a usage error, --help and a verify prints
       the same, and main never rebuilds it
     - ``python -m spdesc`` in a fresh interpreter prints what the
-      in-process main prints, and exits 2 on a bad flag
+      in-process main prints, and exits 2 with empty stdout on a bad flag
+      and on a verify bound past the oracle's guard
+    - the README's CLI example prints what the README shows
 """
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -38,7 +41,9 @@ import pytest
 from spdesc import cli, from_json, synth
 from spdesc.cli import main
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+ROOT = Path(__file__).resolve().parents[1]
+SRC = str(ROOT / "src")
+README = ROOT / "README.md"
 
 
 def chain(k):
@@ -497,3 +502,38 @@ def test_module_entry_point_in_a_fresh_interpreter(obstruction_file, capsys):
     proc = subprocess.run(command + ["--bogus"], capture_output=True, text=True, env=env, timeout=60)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert "unrecognized arguments: --bogus" in proc.stderr
+    command = [sys.executable, "-m", "spdesc", "verify", path, "--max-size", "10"]
+    proc = subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "avoider enumeration is capped at size 9" in proc.stderr
+
+
+def readme_cli_example() -> list:
+    """The README's CLI example as ``(argv, printed lines)`` pairs, one
+    per ``$`` line of the indented block after "Example:"."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("Example:\n\n", 1)[1].split("\n\n", 1)[0]
+    steps = []
+    for line in block.splitlines():
+        line = line.removeprefix("    ")
+        if line.startswith("$ "):
+            steps.append((shlex.split(line[2:]), []))
+        else:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_cli_example(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for argv, printed in readme_cli_example():
+        if argv[0] == "printf":
+            text, redirect, path = argv[1:]
+            assert (redirect, printed) == (">", [])
+            Path(path).write_text(text.replace("\\n", "\n"), encoding="utf-8")
+            continue
+        assert argv[0] == "spdesc"
+        assert main(argv[1:]) == 0
+        assert capsys.readouterr().out.splitlines() == printed, argv
+        ran.append(argv[1])
+    assert ran == ["verify", "member"]

@@ -5,8 +5,9 @@ Core claims:
       documented small examples come out exactly, results are monotone
       in the bound, re-applying any bit adds nothing, and the by-size
       evaluation equals a worklist reference on every entry of the
-      catalog tables and of seeded random tables; a generated set over
-      its term cap raises ResourceLimitError
+      catalog tables and of seeded random tables; a bound over the
+      enumeration cap of 11 points raises ResourceLimitError, also for a
+      table with no static label, and a negative bound ValueError
     - ideal-labeled cells draw from the ideal, self cells from the set
       being built, and empty cells are fine
     - member_topdown agrees with generate_upto on every term within the
@@ -217,17 +218,16 @@ class TestGenerateUpto:
         for t in enumerate_sp(4):
             assert member_topdown(desc, low.key, t) == (t in got)
 
-    def test_resource_cap(self, monkeypatch):
-        desc = synthesize([T("C(*,A(*,*),*)")])
-        got = generate_upto(desc, desc.root, 4).terms
-        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", 20)
-        with pytest.raises(ResourceLimitError):
-            generate_upto(desc, desc.root, 7)
-        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", len(got))
-        assert generate_upto(desc, desc.root, 4).terms == got
-        monkeypatch.setattr(closure, "MAX_GENERATED_TERMS", len(got) - 1)
-        with pytest.raises(ResourceLimitError):
-            generate_upto(desc, desc.root, 4)
+    def test_resource_cap(self):
+        chains = synthesize([T("A(*,*)")])
+        assert chains.entries[chains.root].bits == (chain_bit(R, R),)
+        assert len(generate_upto(chains, chains.root, 11).terms) == 12
+        diamond = synthesize([T("C(*,A(*,*),*)")])
+        for desc in (chains, diamond):
+            with pytest.raises(ResourceLimitError, match="cap of 11 points"):
+                generate_upto(desc, desc.root, 12)
+            with pytest.raises(ValueError, match="nonnegative"):
+                generate_upto(desc, desc.root, -1)
 
     def test_matches_worklist_on_catalog_tables(self):
         for texts_ in CATALOG:

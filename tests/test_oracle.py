@@ -35,7 +35,7 @@ from spdesc import ideals, oracle, terms
 from spdesc import (
     EMPTY,
     POINT,
-    SizeGuardError,
+    ResourceLimitError,
     StructuralDescription,
     avoiders_upto,
     brute_embed,
@@ -203,7 +203,7 @@ class TestBruteEmbed:
 
     def test_size_guard(self):
         big = T("A(" + ",".join("*" * 10) + ")")
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ResourceLimitError):
             brute_embed(big, big)
 
     def test_oversized_pattern_is_answered_before_the_guard(self):
@@ -248,7 +248,7 @@ class TestAvoiders:
         assert len(avoiders_upto([T("C(*,*,*)")], 3)) == 8
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
+        with pytest.raises(ResourceLimitError):
             avoiders_upto([T("C(*,*)")], 10)
 
     def test_obstruction_above_the_guard_excludes_nothing_below_it(self):
